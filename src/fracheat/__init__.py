@@ -19,7 +19,6 @@ from .analysis import (
 )
 from .kernel import (
     AlphaParam,
-    L2Weights,
     NonuniformTimeSeries,
     TimeSeries,
     a_coeff,
@@ -37,7 +36,6 @@ from .problem import (
     DiffusionProblem,
     GridSpec,
     ManufacturedCase,
-    build_grid,
     manufactured_case,
 )
 from .solver import (
@@ -46,10 +44,7 @@ from .solver import (
     TridiagonalSystem,
     apply_compact_H,
     apply_lambda,
-    bootstrap_first_layer,
     solve,
-    step_compact,
-    step_order2,
     thomas_solve,
 )
 
@@ -63,7 +58,6 @@ __all__ = [
     "ErrorReport",
     "ExperimentSpec",
     "GridSpec",
-    "L2Weights",
     "ManufacturedCase",
     "NonuniformTimeSeries",
     "SchemeKind",
@@ -75,8 +69,6 @@ __all__ = [
     "apply_lambda",
     "b_coeff",
     "bar_weights",
-    "bootstrap_first_layer",
-    "build_grid",
     "c_weights",
     "caputo_by_quadrature",
     "convergence_order",
@@ -90,7 +82,5 @@ __all__ = [
     "norm_grad",
     "run_experiment",
     "solve",
-    "step_compact",
-    "step_order2",
     "thomas_solve",
 ]

@@ -23,7 +23,6 @@ from scipy.integrate import quad
 
 __all__ = [
     "AlphaParam",
-    "L2Weights",
     "TimeSeries",
     "NonuniformTimeSeries",
     "a_coeff",
@@ -51,20 +50,6 @@ class AlphaParam:
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
         object.__setattr__(self, "gamma_1ma", math.gamma(1.0 - self.alpha))
         object.__setattr__(self, "gamma_2ma", math.gamma(2.0 - self.alpha))
-
-
-@dataclass(frozen=True)
-class L2Weights:
-    """Weight vector c_0..c_j of the L2 formula at time level j+1."""
-
-    j: int
-    c: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.j < 1:
-            raise ValueError(f"weights are defined for levels j >= 1, got j={self.j}")
-        if self.c.shape != (self.j + 1,):
-            raise ValueError(f"expected {self.j + 1} weights, got shape {self.c.shape}")
 
 
 @dataclass(frozen=True)
@@ -144,21 +129,14 @@ def b_coeff(l, alpha: AlphaParam):
     return float(out) if np.isscalar(l) or np.ndim(l) == 0 else out
 
 
-def c_weights(j: int, alpha: AlphaParam) -> L2Weights:
-    """Weights of the L2 formula at level j+1 (needs j >= 1).
+def _l2_weights(j: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c_0..c_j at level j+1 (j >= 1) from a_0..a_j and b_0..b_j.
 
-    The three case splits (j = 1, j = 2, j >= 3) come out of regrouping
-    the piecewise-quadratic interpolation integrals; level 0 has no L2
-    weights and is handled by the L1 bootstrap instead.
+    Only the first j+1 entries of ``a`` and ``b`` are read, so one pair of
+    coefficient arrays serves every level up to its length.  The three case
+    splits (j = 1, j = 2, j >= 3) come out of regrouping the
+    piecewise-quadratic interpolation integrals.
     """
-    if j < 1:
-        raise ValueError(
-            "the L2 formula needs at least three time points (j >= 1); "
-            "the first layer is handled by the L1 bootstrap"
-        )
-    idx = np.arange(j + 1)
-    a = a_coeff(idx, alpha)
-    b = b_coeff(idx, alpha)
     c = np.empty(j + 1)
     if j == 1:
         c[0] = a[0] + b[0] + b[1]
@@ -172,14 +150,28 @@ def c_weights(j: int, alpha: AlphaParam) -> L2Weights:
         c[1 : j - 1] = a[1 : j - 1] + b[1 : j - 1] - b[0 : j - 2]
         c[j - 1] = a[j - 1] + b[j - 1] + b[j] - b[j - 2]
         c[j] = a[j] - b[j] - b[j - 1]
-    return L2Weights(j=j, c=c)
+    return c
+
+
+def c_weights(j: int, alpha: AlphaParam) -> np.ndarray:
+    """Weights c_0..c_j of the L2 formula at level j+1 (needs j >= 1).
+
+    Level 0 has no L2 weights and is handled by the L1 bootstrap instead.
+    """
+    if j < 1:
+        raise ValueError(
+            "the L2 formula needs at least three time points (j >= 1); "
+            "the first layer is handled by the L1 bootstrap"
+        )
+    idx = np.arange(j + 1)
+    return _l2_weights(j, a_coeff(idx, alpha), b_coeff(idx, alpha))
 
 
 def bar_weights(j: int, alpha: AlphaParam) -> np.ndarray:
     """Truncated weights: bar_c_0 = bar_c_1 = c_2, bar_c_s = c_s for s >= 2."""
     if j < 2:
         raise ValueError(f"bar weights reference c_2 and need j >= 2, got j={j}")
-    c = c_weights(j, alpha).c.copy()
+    c = c_weights(j, alpha)
     c[0] = c[2]
     c[1] = c[2]
     return c
@@ -191,7 +183,7 @@ def l2_caputo(u: TimeSeries, j: int, alpha: AlphaParam) -> float:
         raise ValueError(f"the L2 formula needs j >= 1, got j={j}")
     if u.values.size < j + 2:
         raise ValueError(f"series too short: need {j + 2} samples, have {u.values.size}")
-    c = c_weights(j, alpha).c
+    c = c_weights(j, alpha)
     du = np.diff(u.values[: j + 2])
     # c_{j-s} pairs with the forward difference at s, hence the reversal
     return u.tau ** (-alpha.alpha) / alpha.gamma_2ma * float(c[::-1] @ du)

@@ -17,6 +17,7 @@ from .analysis import norm_L2
 from .kernel import (
     AlphaParam,
     TimeSeries,
+    _l2_weights,
     a_coeff,
     b_coeff,
     bar_weights,
@@ -103,15 +104,7 @@ def _c_tables(a: float, j_max: int):
     av = a_coeff(idx, alpha)
     bv = b_coeff(idx, alpha)
     for j in range(2, j_max + 1):
-        c = np.empty(j + 1)
-        if j == 2:
-            c[:] = (av[0] + bv[0], av[1] + bv[1] + bv[2] - bv[0], av[2] - bv[2] - bv[1])
-        else:
-            c[0] = av[0] + bv[0]
-            c[1 : j - 1] = av[1 : j - 1] + bv[1 : j - 1] - bv[0 : j - 2]
-            c[j - 1] = av[j - 1] + bv[j - 1] + bv[j] - bv[j - 2]
-            c[j] = av[j] - bv[j] - bv[j - 1]
-        yield j, c
+        yield j, _l2_weights(j, av, bv)
 
 
 def check_c_bounds(alphas=ALPHA_GRID, j_max: int = J_MAX) -> CheckResult:
@@ -140,7 +133,7 @@ def check_c_positivity_combo(alphas=ALPHA_GRID, j_max: int = J_MAX) -> CheckResu
     worst = np.inf
     for a in alphas:
         alpha = AlphaParam(a)
-        c1 = c_weights(1, alpha).c
+        c1 = c_weights(1, alpha)
         worst = min(worst, c1[0] + 3.0 * c1[1])
         for j, c in _c_tables(a, j_max):
             worst = min(worst, c[0] + 3.0 * c[1] - 4.0 * c[2])
@@ -190,7 +183,7 @@ def check_history_energy_inequality(trials: int = 1000, seed: int = 20241) -> Ch
         v = rng.uniform(-3.0, 3.0, size=n)
         tau = float(rng.uniform(0.01, 1.0))
         j = n - 2
-        c = c_weights(j, alpha).c
+        c = c_weights(j, alpha)
         rho = tau ** (-a) / alpha.gamma_2ma
         lhs = v[j + 1] * l2_caputo(TimeSeries(v, tau), j, alpha)
         bc = bar_weights(j, alpha)

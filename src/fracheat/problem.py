@@ -24,7 +24,6 @@ __all__ = [
     "DiffusionProblem",
     "GridSpec",
     "ManufacturedCase",
-    "build_grid",
     "manufactured_case",
 ]
 
@@ -74,13 +73,6 @@ class GridSpec:
         return np.arange(self.M + 1) * self.tau
 
 
-def build_grid(N: int, M: int, l: float = 1.0, T: float = 1.0) -> GridSpec:
-    """Uniform grid with h = l/N and tau = T/M."""
-    if M < 2:
-        raise ValueError(f"need at least M=2 time steps, got {M}")
-    return GridSpec(N=N, M=M, length=l, horizon=T)
-
-
 @dataclass(frozen=True)
 class DiffusionProblem:
     """Problem data. k, q, f take (x, t) with x an array; u0 takes x."""
@@ -103,14 +95,19 @@ class DiffusionProblem:
             raise ValueError("grid domain does not match the problem domain")
         x_half = grid.x_half_nodes()
         x = grid.x_nodes()
+        time_only = self.coefficients is Coefficients.TIME_ONLY
         for t in grid.t_nodes()[1:]:
             kv = np.asarray(self.k(x_half, t))
+            qv = np.asarray(self.q(x, t))
+            for name, v in (("k", kv), ("q", qv)):
+                if not np.all(np.isfinite(v)):
+                    raise ValueError(f"{name} is not finite at t={t}")
+                if time_only and np.ptp(v) > 1e-12:
+                    raise ValueError(f"coefficients declared time-only but {name} varies in x at t={t}")
             if np.any(kv < self.c1_lower - 1e-12):
                 raise ValueError(f"k drops below c1={self.c1_lower} at t={t}")
-            if np.any(np.asarray(self.q(x, t)) < -1e-12):
+            if np.any(qv < -1e-12):
                 raise ValueError(f"q is negative at t={t}")
-            if self.coefficients is Coefficients.TIME_ONLY and np.ptp(kv) > 1e-12:
-                raise ValueError("coefficients declared time-only but k varies in x")
         u0v = self.u0(np.array([0.0, self.length]))
         if max(abs(u0v[0]), abs(u0v[1])) > 1e-12:
             raise ValueError("u0 must vanish at both boundaries")

@@ -1,11 +1,14 @@
-"""Implicit time-stepping engines for the 1-D time-fractional diffusion equation.
+"""Implicit time-stepping for the 1-D time-fractional diffusion equation.
 
-Two schemes share the same skeleton: at each level the nonlocal time
-operator contributes ``rho * c_0`` on the new layer plus a history sum over
+Both schemes run through one level loop.  At each level the nonlocal time
+operator contributes ``rho * w_0`` on the new layer plus a history sum over
 all previous layers, and the spatial operator makes the implicit matrix
-tridiagonal.  The first layer cannot use the quadratic-interpolation
-weights (they need three time points), so it is bootstrapped by the L1
-scheme on a refined subgrid of [0, tau].
+tridiagonal.  The schemes differ only in the mass operator the time
+derivative acts on: the identity for order2, the fourth-order averaging
+``H`` for compact4.  The loop runs twice per solve: first with the L1
+weights ``a_s`` on a refined subgrid of [0, tau], which bootstraps the first
+layer (the quadratic-interpolation weights need three time points), then
+with the L2 weights ``c_s`` on the main grid.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .kernel import AlphaParam, a_coeff, c_weights
+from .kernel import AlphaParam, _l2_weights, a_coeff, b_coeff
 from .problem import Coefficients, DiffusionProblem, GridSpec
 
 __all__ = [
@@ -25,10 +29,7 @@ __all__ = [
     "TridiagonalSystem",
     "apply_compact_H",
     "apply_lambda",
-    "bootstrap_first_layer",
     "solve",
-    "step_compact",
-    "step_order2",
     "thomas_solve",
 ]
 
@@ -141,138 +142,75 @@ class SolutionHistory:
     alpha: AlphaParam
 
 
-def _history_term(layers: np.ndarray, j: int, weights: np.ndarray) -> np.ndarray:
-    """w_0 * y^j - sum_{s=0}^{j-1} w_{j-s} (y^{s+1} - y^s), rows 0..j of layers."""
-    acc = weights[0] * layers[j]
-    if j > 0:
-        du = np.diff(layers[: j + 1], axis=0)
-        acc = acc - np.tensordot(weights[1 : j + 1][::-1], du, axes=(0, 0))
-    return acc
-
-
-def _solve_order2_level(
-    problem: DiffusionProblem, grid: GridSpec, t_new: float, coef: float, rhs_interior: np.ndarray
+def _advance(
+    problem: DiffusionProblem,
+    grid: GridSpec,
+    mass: np.ndarray,
+    j: int,
+    t_new: float,
+    rho: float,
+    w: np.ndarray,
+    compact: bool,
 ) -> np.ndarray:
-    """Solve (coef * I - Lambda(t_new)) y = rhs on the interior, zero boundaries."""
+    """Layer j+1 from the mass layers 0..j and the level weights w_0..w_j.
+
+    The time derivative at t_new is rho * (w_0 m^{j+1} - hist) with
+    hist = w_0 m^j - sum_{s=0}^{j-1} w_{j-s} (m^{s+1} - m^s).  For order2
+    the implicit matrix is rho w_0 I - Lambda(t_new); for compact4 it is
+    (rho w_0 + q) H - k D2, whose entries are constant since k = k(t),
+    q = q(t).  Kept as its own call so that each level's temporaries are
+    freed before the next one is built.  The node arrays are rebuilt rather
+    than held for the whole level: at N = 50000 a held copy fragments the
+    heap around the history temporaries and raises peak RSS by ~13 MB.
+    """
+    hist = w[0] * mass[j]
+    if j > 0:
+        hist = hist - np.tensordot(w[1 : j + 1][::-1], np.diff(mass[: j + 1], axis=0), axes=(0, 0))
+    phi = np.asarray(problem.f(grid.x_nodes(), t_new), dtype=float)
     a_half = np.asarray(problem.k(grid.x_half_nodes(), t_new), dtype=float)
     d = np.asarray(problem.q(grid.x_nodes()[1:-1], t_new), dtype=float)
     h2 = grid.h * grid.h
-    diag = coef + (a_half[1:] + a_half[:-1]) / h2 + d
-    off = -a_half[1:-1] / h2
-    sol = thomas_solve(TridiagonalSystem(lower=off, diag=diag, upper=off, rhs=rhs_interior))
-    y = np.zeros(grid.N + 1)
-    y[1:-1] = sol
-    return y
-
-
-def _scalar_coefficient(field, grid: GridSpec, t: float) -> float:
-    vals = np.asarray(field(grid.x_half_nodes(), t), dtype=float)
-    return float(vals.flat[0])
-
-
-def _solve_compact_level(
-    problem: DiffusionProblem, grid: GridSpec, t_new: float, coef: float, rhs_interior: np.ndarray
-) -> np.ndarray:
-    """Solve ((coef + d) H - a D2) y = rhs on the interior, zero boundaries.
-
-    The averaging operator couples neighbours, so the implicit matrix mixes
-    the H and second-difference stencils but stays tridiagonal (and with
-    constant entries, since the compact scheme has k = k(t), q = q(t)).
-    """
-    a = _scalar_coefficient(problem.k, grid, t_new)
-    d = _scalar_coefficient(problem.q, grid, t_new)
-    h2 = grid.h * grid.h
-    w = coef + d
-    n = grid.N - 1
-    diag = np.full(n, w * 10.0 / 12.0 + 2.0 * a / h2)
-    off = np.full(n - 1, w / 12.0 - a / h2)
-    sol = thomas_solve(TridiagonalSystem(lower=off, diag=diag, upper=off, rhs=rhs_interior))
-    y = np.zeros(grid.N + 1)
-    y[1:-1] = sol
-    return y
-
-
-def bootstrap_first_layer(
-    problem: DiffusionProblem, grid: GridSpec, alpha: AlphaParam, scheme: SchemeKind = SchemeKind.ORDER2
-) -> np.ndarray:
-    """First layer y^1 by the implicit L1 scheme on a refined subgrid of [0, tau].
-
-    The subgrid has M1 = ceil(tau^(-1/(2-alpha))) uniform substeps, i.e. a
-    substep tau/M1 = O(tau^((3-alpha)/(2-alpha))), which lifts the L1
-    order 2-alpha back to the 3-alpha accuracy the main scheme needs from
-    its starting value.  Each substep solves the same spatial operator as
-    the main scheme.
-    """
-    scheme = SchemeKind(scheme)
-    tau = grid.tau
-    m1 = max(1, math.ceil((1.0 / tau) ** (1.0 / (2.0 - alpha.alpha))))
-    tau1 = tau / m1
-    rho1 = tau1 ** (-alpha.alpha) / alpha.gamma_2ma
-    x = grid.x_nodes()
-    compact = scheme is SchemeKind.COMPACT4
-
-    sub = np.zeros((m1 + 1, grid.N + 1))
-    sub[0] = problem.u0(x)
-    sub[0, 0] = 0.0
-    sub[0, -1] = 0.0
-    hist_layers = np.zeros_like(sub)
-    hist_layers[0] = apply_compact_H(sub[0], grid) if compact else sub[0]
-
-    a_l1 = a_coeff(np.arange(m1), alpha)
-    for m in range(m1):
-        t_new = (m + 1) * tau1
-        hist = _history_term(hist_layers, m, a_l1)
-        phi = np.asarray(problem.f(x, t_new), dtype=float)
-        if compact:
-            rhs = (apply_compact_H(phi, grid) + rho1 * hist)[1:-1]
-            sub[m + 1] = _solve_compact_level(problem, grid, t_new, rho1, rhs)
-            hist_layers[m + 1] = apply_compact_H(sub[m + 1], grid)
-        else:
-            rhs = phi[1:-1] + rho1 * hist[1:-1]
-            sub[m + 1] = _solve_order2_level(problem, grid, t_new, rho1, rhs)
-            hist_layers[m + 1] = sub[m + 1]
-    return sub[m1]
-
-
-def step_order2(
-    history: SolutionHistory, j: int, problem: DiffusionProblem, grid: GridSpec
-) -> np.ndarray:
-    """Advance the second-order scheme from layers 0..j to layer j+1 (j >= 1)."""
-    if j < 1:
-        raise ValueError("the main scheme starts at j >= 1; layer 1 comes from the bootstrap")
-    alpha = history.alpha
-    rho = grid.tau ** (-alpha.alpha) / alpha.gamma_2ma
-    c = c_weights(j, alpha).c
-    hist = _history_term(history.layers, j, c)
-    t_new = (j + 1) * grid.tau
-    phi = np.asarray(problem.f(grid.x_nodes(), t_new), dtype=float)
+    coef = rho * w[0]
+    if compact:
+        phi = apply_compact_H(phi, grid)
+        wd = coef + d.flat[0]
+        a = a_half.flat[0]
+        diag = np.full(grid.N - 1, wd * 10.0 / 12.0 + 2.0 * a / h2)
+        off = np.full(grid.N - 2, wd / 12.0 - a / h2)
+    else:
+        diag = coef + (a_half[1:] + a_half[:-1]) / h2 + d
+        off = -a_half[1:-1] / h2
     rhs = phi[1:-1] + rho * hist[1:-1]
-    return _solve_order2_level(problem, grid, t_new, rho * c[0], rhs)
+    y = np.zeros(grid.N + 1)
+    y[1:-1] = thomas_solve(TridiagonalSystem(lower=off, diag=diag, upper=off, rhs=rhs))
+    return y
 
 
-def step_compact(
-    history: SolutionHistory, j: int, problem: DiffusionProblem, grid: GridSpec
-) -> np.ndarray:
-    """Advance the compact fourth-order scheme to layer j+1 (j >= 1).
+def _march(
+    problem: DiffusionProblem,
+    grid: GridSpec,
+    layers: np.ndarray,
+    first: int,
+    tau: float,
+    alpha: AlphaParam,
+    weights: Callable[[int], np.ndarray],
+    compact: bool,
+) -> None:
+    """Fill layers[first+1:] in place at time step tau from layers[:first+1].
 
-    Rejects problems whose coefficients vary in x; the compact factorization
-    only holds for k = k(t), q = q(t).
+    ``weights(j)`` gives the weight vector of level j.  The mass layers are
+    ``layers`` itself for order2 and H applied once to each layer for compact4.
     """
-    if problem.coefficients is not Coefficients.TIME_ONLY:
-        raise ValueError("the compact scheme requires time-only coefficients k(t), q(t)")
-    if j < 1:
-        raise ValueError("the main scheme starts at j >= 1; layer 1 comes from the bootstrap")
-    alpha = history.alpha
-    rho = grid.tau ** (-alpha.alpha) / alpha.gamma_2ma
-    c = c_weights(j, alpha).c
-    hy = history.layers[: j + 1].copy()
-    hy[:, 1:-1] += (history.layers[: j + 1, 2:] - 2.0 * history.layers[: j + 1, 1:-1]
-                    + history.layers[: j + 1, :-2]) / 12.0
-    hist = _history_term(hy, j, c)
-    t_new = (j + 1) * grid.tau
-    phi = np.asarray(problem.f(grid.x_nodes(), t_new), dtype=float)
-    rhs = (apply_compact_H(phi, grid) + rho * hist)[1:-1]
-    return _solve_compact_level(problem, grid, t_new, rho * c[0], rhs)
+    rho = tau ** (-alpha.alpha) / alpha.gamma_2ma
+    mass = layers
+    if compact:
+        mass = np.zeros_like(layers)
+        for s in range(first + 1):
+            mass[s] = apply_compact_H(layers[s], grid)
+    for j in range(first, layers.shape[0] - 1):
+        layers[j + 1] = _advance(problem, grid, mass, j, (j + 1) * tau, rho, weights(j), compact)
+        if compact:
+            mass[j + 1] = apply_compact_H(layers[j + 1], grid)
 
 
 def solve(
@@ -281,18 +219,31 @@ def solve(
     alpha: AlphaParam,
     scheme: SchemeKind = SchemeKind.ORDER2,
 ) -> SolutionHistory:
-    """Run a full solve: layer 0 from u0, layer 1 from the bootstrap, then steps."""
-    scheme = SchemeKind(scheme)
-    if scheme is SchemeKind.COMPACT4 and problem.coefficients is not Coefficients.TIME_ONLY:
+    """Run a full solve: layer 0 from u0, layer 1 from the L1 bootstrap, then L2 levels.
+
+    The bootstrap subgrid has M1 = ceil(tau^(-1/(2-alpha))) uniform substeps,
+    i.e. a substep tau/M1 = O(tau^((3-alpha)/(2-alpha))), which lifts the L1
+    order 2-alpha back to the 3-alpha accuracy the main scheme needs from
+    its starting value.
+    """
+    compact = SchemeKind(scheme) is SchemeKind.COMPACT4
+    if compact and problem.coefficients is not Coefficients.TIME_ONLY:
         raise ValueError("the compact scheme requires time-only coefficients k(t), q(t)")
     problem.validate_on_grid(grid)
     layers = np.zeros((grid.M + 1, grid.N + 1))
     layers[0] = problem.u0(grid.x_nodes())
     layers[0, 0] = 0.0
     layers[0, -1] = 0.0
-    layers[1] = bootstrap_first_layer(problem, grid, alpha, scheme)
-    history = SolutionHistory(layers=layers, grid=grid, alpha=alpha)
-    step = step_compact if scheme is SchemeKind.COMPACT4 else step_order2
-    for j in range(1, grid.M):
-        layers[j + 1] = step(history, j, problem, grid)
-    return history
+
+    m1 = max(1, math.ceil((1.0 / grid.tau) ** (1.0 / (2.0 - alpha.alpha))))
+    sub = np.zeros((m1 + 1, grid.N + 1))
+    sub[0] = layers[0]
+    a_l1 = a_coeff(np.arange(m1), alpha)
+    _march(problem, grid, sub, 0, grid.tau / m1, alpha, lambda j: a_l1, compact)
+    layers[1] = sub[m1]
+    del sub
+
+    idx = np.arange(grid.M)
+    a_s, b_s = a_coeff(idx, alpha), b_coeff(idx, alpha)
+    _march(problem, grid, layers, 1, grid.tau, alpha, lambda j: _l2_weights(j, a_s, b_s), compact)
+    return SolutionHistory(layers=layers, grid=grid, alpha=alpha)

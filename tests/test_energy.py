@@ -47,7 +47,7 @@ def test_history_energy_inequality_explicit_case():
     tau = 0.25
     v = np.array([0.3, -1.1, 0.7, 0.9, -0.4])
     j = 3
-    c = c_weights(j, alpha).c
+    c = c_weights(j, alpha)
     rho = tau ** (-alpha.alpha) / alpha.gamma_2ma
     lhs = v[j + 1] * l2_caputo(TimeSeries(v, tau), j, alpha)
     bc = bar_weights(j, alpha)

@@ -74,11 +74,11 @@ def test_c_weights_j1_closed_form():
     # c_0 = (2+a)/(2^a (2-a)), c_1 = (2-3a)/(2^a (2-a))
     for a in (0.1, 0.5, 0.9):
         alpha = AlphaParam(a)
-        c = c_weights(1, alpha).c
+        c = c_weights(1, alpha)
         denom = 2.0**a * (2.0 - a)
         assert c[0] == pytest.approx((2.0 + a) / denom, rel=1e-14)
         assert c[1] == pytest.approx((2.0 - 3.0 * a) / denom, rel=1e-13, abs=1e-15)
-    c = c_weights(1, AlphaParam(0.5)).c
+    c = c_weights(1, AlphaParam(0.5))
     assert c[0] == pytest.approx(1.1785113019775793, rel=1e-12)
     assert c[1] == pytest.approx(0.23570226039551587, rel=1e-12)
 
@@ -86,7 +86,7 @@ def test_c_weights_j1_closed_form():
 def test_c_weights_j2_term_by_term():
     for a in (0.2, 0.5, 0.8):
         alpha = AlphaParam(a)
-        c = c_weights(2, alpha).c
+        c = c_weights(2, alpha)
         av = [a_coeff(l, alpha) for l in range(3)]
         bv = [b_coeff(l, alpha) for l in range(3)]
         assert c[0] == pytest.approx(av[0] + bv[0], rel=1e-14)
@@ -97,7 +97,7 @@ def test_c_weights_j2_term_by_term():
 def test_c_weights_j_large_term_by_term():
     alpha = AlphaParam(0.4)
     j = 7
-    c = c_weights(j, alpha).c
+    c = c_weights(j, alpha)
     av = [a_coeff(l, alpha) for l in range(j + 1)]
     bv = [b_coeff(l, alpha) for l in range(j + 1)]
     assert c[0] == pytest.approx(av[0] + bv[0], rel=1e-14)
@@ -108,7 +108,7 @@ def test_c_weights_j_large_term_by_term():
 
 
 def test_c_weights_monotone_chain():
-    c = c_weights(5, AlphaParam(0.5)).c
+    c = c_weights(5, AlphaParam(0.5))
     assert c[0] > c[2] > c[3] > c[4] > c[5]
 
 
@@ -118,7 +118,7 @@ def test_c_weights_sum_telescopes():
     for a in (0.25, 0.75):
         alpha = AlphaParam(a)
         for j in (1, 2, 3, 10, 47):
-            c = c_weights(j, alpha).c
+            c = c_weights(j, alpha)
             assert c.sum() == pytest.approx((j + 1) ** (1 - a), rel=1e-13)
 
 
@@ -130,13 +130,13 @@ def test_bar_weights_rejects_small_level():
 
 def test_bar_weights_collapse_at_j2():
     alpha = AlphaParam(0.35)
-    c2 = c_weights(2, alpha).c[2]
+    c2 = c_weights(2, alpha)[2]
     assert np.allclose(bar_weights(2, alpha), [c2, c2, c2], rtol=1e-15)
 
 
 def test_bar_weights_match_c_from_index_two():
     alpha = AlphaParam(0.5)
-    c = c_weights(4, alpha).c
+    c = c_weights(4, alpha)
     bc = bar_weights(4, alpha)
     assert bc[0] == bc[1] == c[2]
     assert np.array_equal(bc[2:], c[2:])

@@ -1,5 +1,6 @@
 """Grids, problem validation, and the manufactured verification cases."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from fracheat import (
     Coefficients,
     DiffusionProblem,
     GridSpec,
-    build_grid,
     caputo_by_quadrature,
     manufactured_case,
 )
@@ -22,26 +22,18 @@ def complex_step_dt(u, x, t):
     return (u(x, t + 1j * CSTEP)).imag / CSTEP
 
 
-def test_build_grid_basic():
-    g = build_grid(2, 2, 1.0, 1.0)
-    assert g.h == 0.5 and g.tau == 0.5
-    g = build_grid(18, 10)
-    assert g.h == pytest.approx(1.0 / 18.0, rel=1e-15)
-    assert g.tau == pytest.approx(0.1, rel=1e-15)
-    g = build_grid(29, 40)
-    assert g.N == 29 and g.M == 40
-
-
-def test_build_grid_rejects_bad_sizes():
-    for n_sub, m_steps in ((1, 10), (0, 10), (10, 1), (10, 0)):
+def test_gridspec_rejects_bad_sizes():
+    for n_sub, m_steps in ((1, 10), (0, 10), (10, 0)):
         with pytest.raises(ValueError):
-            build_grid(n_sub, m_steps)
+            GridSpec(N=n_sub, M=m_steps)
     with pytest.raises(ValueError):
         GridSpec(N=4, M=4, length=-1.0)
 
 
 def test_grid_product_roundtrip():
-    g = build_grid(29, 40, 1.0, 1.0)
+    g = GridSpec(N=2, M=2)
+    assert g.h == 0.5 and g.tau == 0.5
+    g = GridSpec(N=29, M=40)
     assert g.h * g.N == pytest.approx(g.length, rel=1e-14)
     assert g.tau * g.M == pytest.approx(g.horizon, rel=1e-14)
     assert g.x_nodes()[0] == 0.0 and g.x_nodes()[-1] == pytest.approx(1.0, rel=1e-15)
@@ -141,4 +133,29 @@ def test_time_only_declaration_is_checked():
     lying = DiffusionProblem(k=base.k, q=base.q, f=base.f, u0=base.u0,
                              c1_lower=1.0, coefficients=Coefficients.TIME_ONLY)
     with pytest.raises(ValueError):
+        lying.validate_on_grid(GridSpec(N=8, M=4))
+
+
+def _with(base, **fields):
+    return dataclasses.replace(base, **fields)
+
+
+def test_validate_on_grid_rejects_non_finite_k():
+    base = manufactured_case(AlphaParam(0.5)).problem
+    sick = _with(base, k=lambda x, t: np.full_like(np.asarray(x, dtype=float), np.nan))
+    with pytest.raises(ValueError, match=r"k is not finite at t=0\.25"):
+        sick.validate_on_grid(GridSpec(N=8, M=4))
+
+
+def test_validate_on_grid_rejects_non_finite_q():
+    base = manufactured_case(AlphaParam(0.5)).problem
+    sick = _with(base, q=lambda x, t: np.full_like(np.asarray(x, dtype=float), np.inf))
+    with pytest.raises(ValueError, match=r"q is not finite at t=0\.25"):
+        sick.validate_on_grid(GridSpec(N=8, M=4))
+
+
+def test_time_only_declaration_rejects_x_varying_q():
+    base = manufactured_case(AlphaParam(0.5), Coefficients.TIME_ONLY).problem
+    lying = _with(base, q=lambda x, t: 5.0 * np.asarray(x, dtype=float))
+    with pytest.raises(ValueError, match=r"q varies in x at t=0\.25"):
         lying.validate_on_grid(GridSpec(N=8, M=4))

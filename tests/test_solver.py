@@ -1,4 +1,4 @@
-"""Spatial operators, tridiagonal solve, bootstrap, stepping, full solves."""
+"""Spatial operators, tridiagonal solve, and full solves level by level."""
 
 import math
 
@@ -11,18 +11,14 @@ from fracheat import (
     DiffusionProblem,
     GridSpec,
     SchemeKind,
-    SolutionHistory,
     TridiagonalSystem,
     apply_compact_H,
     apply_lambda,
-    bootstrap_first_layer,
     c_weights,
     manufactured_case,
     norm_L2,
     norm_grad,
     solve,
-    step_compact,
-    step_order2,
     thomas_solve,
 )
 
@@ -175,7 +171,7 @@ def test_compact_system_diagonally_dominant():
         tau = float(rng.uniform(1e-3, 0.5))
         h = float(rng.uniform(1e-3, 0.5))
         rho = tau ** (-alpha.alpha) / alpha.gamma_2ma
-        w = rho * c_weights(1, alpha).c[0] + d
+        w = rho * c_weights(1, alpha)[0] + d
         diag = w * 10.0 / 12.0 + 2.0 * a / h**2
         off = w / 12.0 - a / h**2
         assert abs(diag) - 2.0 * abs(off) >= (2.0 / 3.0) * w * (1.0 - 1e-12)
@@ -193,7 +189,7 @@ def test_bootstrap_preserves_zero_solution():
     grid = GridSpec(N=10, M=5)
     prob = constant_coefficient_problem()
     for scheme in (SchemeKind.ORDER2, SchemeKind.COMPACT4):
-        y1 = bootstrap_first_layer(prob, grid, AlphaParam(0.5), scheme)
+        y1 = solve(prob, grid, AlphaParam(0.5), scheme).layers[1]
         assert np.array_equal(y1, np.zeros(11))
 
 
@@ -205,7 +201,7 @@ def test_bootstrap_accuracy_order():
     errs = []
     for m_steps, n_sub in ((10, 18), (20, 43), (40, 101)):
         grid = GridSpec(N=n_sub, M=m_steps)
-        y1 = bootstrap_first_layer(case.problem, grid, alpha, SchemeKind.ORDER2)
+        y1 = solve(case.problem, grid, alpha, SchemeKind.ORDER2).layers[1]
         exact = case.u_exact(grid.x_nodes(), grid.tau)
         errs.append(norm_L2(y1 - exact, grid.h))
     orders = [math.log2(e1 / e2) for e1, e2 in zip(errs, errs[1:])]
@@ -215,69 +211,67 @@ def test_bootstrap_accuracy_order():
 # ----------------------------------------------------------------- stepping
 
 
+def _hand_history(c, m, j):
+    """c_0 m^j - sum_{s=0}^{j-1} c_{j-s} (m^{s+1} - m^s), written out term by term."""
+    return c[0] * m[j] - sum(c[j - s] * (m[s + 1] - m[s]) for s in range(j))
+
+
 def test_step_order2_scalar_oracle():
     # N=2 has one interior unknown; the implicit equation collapses to a
-    # scalar relation solvable by hand
+    # scalar relation solvable by hand.  Levels j = 1, 2, 3 of an M=4 solve
+    # cover the j=1, j=2 and j>=3 weight branches.
     alpha = AlphaParam(0.6)
     case = manufactured_case(alpha)
     grid = GridSpec(N=2, M=4)
-    rng = np.random.default_rng(3)
-    layers = np.zeros((5, 3))
-    layers[0, 1] = 1.0
-    layers[1, 1] = float(rng.uniform(0.5, 1.0))
-    history = SolutionHistory(layers=layers, grid=grid, alpha=alpha)
-    j = 1
-    got = step_order2(history, j, case.problem, grid)
+    layers = solve(case.problem, grid, alpha, SchemeKind.ORDER2).layers
+    y = layers[:, 1]
+    assert np.all(layers[:, 0] == 0.0) and np.all(layers[:, 2] == 0.0)
 
     tau, h = grid.tau, grid.h
     rho = tau ** (-alpha.alpha) / alpha.gamma_2ma
-    c = c_weights(j, alpha).c
-    hist = c[0] * layers[j, 1] - c[1] * (layers[1, 1] - layers[0, 1])
-    t_new = (j + 1) * tau
-    phi = float(case.problem.f(np.array([0.5]), t_new)[0])
-    a1 = float(case.problem.k(np.array([0.25]), t_new)[0])
-    a2 = float(case.problem.k(np.array([0.75]), t_new)[0])
-    d1 = float(case.problem.q(np.array([0.5]), t_new)[0])
-    y_hand = (phi + rho * hist) / (rho * c[0] + (a1 + a2) / h**2 + d1)
-    assert got[1] == pytest.approx(y_hand, rel=1e-13)
-    assert got[0] == got[2] == 0.0
+    for j in (1, 2, 3):
+        c = c_weights(j, alpha)
+        hist = _hand_history(c, y, j)
+        t_new = (j + 1) * tau
+        phi = float(case.problem.f(np.array([0.5]), t_new)[0])
+        a1 = float(case.problem.k(np.array([0.25]), t_new)[0])
+        a2 = float(case.problem.k(np.array([0.75]), t_new)[0])
+        d1 = float(case.problem.q(np.array([0.5]), t_new)[0])
+        y_hand = (phi + rho * hist) / (rho * c[0] + (a1 + a2) / h**2 + d1)
+        assert y[j + 1] == pytest.approx(y_hand, rel=1e-13), f"level j={j}"
 
 
 def test_step_compact_scalar_oracle():
+    # as above, with the history taken over H y, which is (10/12) y on (0, y, 0)
     alpha = AlphaParam(0.4)
     grid = GridSpec(N=2, M=4)
     prob = constant_coefficient_problem(
-        f=lambda x, t: np.cos(np.asarray(x, dtype=float)) * (1.0 + t), q_const=0.0
+        f=lambda x, t: np.cos(np.asarray(x, dtype=float)) * (1.0 + t),
+        u0=lambda x: 0.8 * np.sin(np.pi * np.asarray(x, dtype=float)),
+        q_const=0.0,
     )
-    layers = np.zeros((5, 3))
-    layers[0, 1] = 0.8
-    layers[1, 1] = 0.6
-    history = SolutionHistory(layers=layers, grid=grid, alpha=alpha)
-    j = 1
-    got = step_compact(history, j, prob, grid)
+    layers = solve(prob, grid, alpha, SchemeKind.COMPACT4).layers
+    y = layers[:, 1]
+    assert y[0] == pytest.approx(0.8, rel=1e-15)
 
     tau, h = grid.tau, grid.h
     rho = tau ** (-alpha.alpha) / alpha.gamma_2ma
-    c = c_weights(j, alpha).c
-    hy = [layers[s, 1] * 10.0 / 12.0 for s in range(2)]  # H on (0, v, 0)
-    hist = c[0] * hy[j] - c[1] * (hy[1] - hy[0])
-    t_new = (j + 1) * tau
     x = grid.x_nodes()
-    phi = np.cos(x) * (1.0 + t_new)
-    h_phi = phi[1] + (phi[2] - 2.0 * phi[1] + phi[0]) / 12.0
-    y_hand = (h_phi + rho * hist) / (rho * c[0] * 10.0 / 12.0 + 2.0 / h**2)
-    assert got[1] == pytest.approx(y_hand, rel=1e-13)
+    hy = y * 10.0 / 12.0
+    for j in (1, 2, 3):
+        c = c_weights(j, alpha)
+        hist = _hand_history(c, hy, j)
+        phi = np.cos(x) * (1.0 + (j + 1) * tau)
+        h_phi = phi[1] + (phi[2] - 2.0 * phi[1] + phi[0]) / 12.0
+        y_hand = (h_phi + rho * hist) / (rho * c[0] * 10.0 / 12.0 + 2.0 / h**2)
+        assert y[j + 1] == pytest.approx(y_hand, rel=1e-13), f"level j={j}"
 
 
 def test_step_compact_rejects_variable_coefficients():
     alpha = AlphaParam(0.5)
     case = manufactured_case(alpha, Coefficients.VARIABLE_XT)
     grid = GridSpec(N=8, M=4)
-    layers = np.zeros((5, 9))
-    history = SolutionHistory(layers=layers, grid=grid, alpha=alpha)
-    with pytest.raises(ValueError):
-        step_compact(history, 1, case.problem, grid)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="time-only"):
         solve(case.problem, grid, alpha, SchemeKind.COMPACT4)
 
 
@@ -296,11 +290,15 @@ def test_solve_single_step_grid():
     # M=1: layer 0 from the data, layer 1 from the bootstrap, no L2 steps
     alpha = AlphaParam(0.5)
     case = manufactured_case(alpha)
+    # M=1 means tau=T, so the bootstrap takes one L1 substep over the whole
+    # horizon: rho (y1 - y0) = Lambda(T) y1 + f(T) with rho = 1/Gamma(2-a)
     grid = GridSpec(N=12, M=1)
     hist = solve(case.problem, grid, alpha)
     assert hist.layers.shape == (2, 13)
-    expected_y1 = bootstrap_first_layer(case.problem, grid, alpha, SchemeKind.ORDER2)
-    assert np.array_equal(hist.layers[1], expected_y1)
+    y0, y1 = hist.layers
+    rho = 1.0 / alpha.gamma_2ma
+    residual = rho * (y1 - y0) - apply_lambda(y1, 0, case.problem, grid) - case.problem.f(grid.x_nodes(), 1.0)
+    assert np.max(np.abs(residual[1:-1])) < 1e-13 * np.max(np.abs(y1)) / grid.h**2
 
 
 def test_solve_layer0_and_boundaries():
@@ -373,11 +371,16 @@ def test_thomas_single_unknown():
 
 def test_solve_compact_single_step_grid():
     # M=1 means tau=T, so the bootstrap covers the whole horizon in one L1
-    # substep; the solve just returns the data layer plus that bootstrap
+    # substep of the compact scheme: H(rho (y1 - y0) + q y1 - f) = k D2 y1
     alpha = AlphaParam(0.7)
     case = manufactured_case(alpha, Coefficients.TIME_ONLY)
     grid = GridSpec(N=13, M=1)
     hist = solve(case.problem, grid, alpha, SchemeKind.COMPACT4)
     assert hist.layers.shape == (2, 14)
-    expected = bootstrap_first_layer(case.problem, grid, alpha, SchemeKind.COMPACT4)
-    assert np.array_equal(hist.layers[1], expected)
+    y0, y1 = hist.layers
+    x = grid.x_nodes()
+    rho = 1.0 / alpha.gamma_2ma
+    k, q = 2.0 - math.cos(1.0), 1.0 - math.sin(1.0)
+    lhs = apply_compact_H(rho * (y1 - y0) + q * y1 - case.problem.f(x, 1.0), grid)[1:-1]
+    rhs = k * (y1[2:] - 2.0 * y1[1:-1] + y1[:-2]) / grid.h**2
+    assert np.max(np.abs(lhs - rhs)) < 1e-13 * np.max(np.abs(y1)) / grid.h**2
