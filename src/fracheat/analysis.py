@@ -88,9 +88,7 @@ class ExperimentSpec:
     alpha: float
     scheme: SchemeKind
     variant: Coefficients
-    rungs: tuple[tuple[int, int], ...]  # (M, N) per rung, coarse to fine
-    length: float = 1.0
-    horizon: float = 1.0
+    rungs: tuple[tuple[int, int], ...]  # (M, N) per rung, coarse to fine on [0,1]x[0,1]
 
 
 @dataclass(frozen=True)
@@ -111,12 +109,12 @@ class ConvergenceTable:
     rows: tuple[TableRow, ...] = field(default_factory=tuple)
 
 
-def _run_rung(args: tuple[float, str, str, int, int, float, float]) -> tuple[float, float, float]:
+def _run_rung(args: tuple[float, str, str, int, int]) -> tuple[float, float, float]:
     """One ladder rung; module-level so a process pool can pickle it."""
-    alpha_value, scheme, variant, m_steps, n_sub, length, horizon = args
+    alpha_value, scheme, variant, m_steps, n_sub = args
     alpha = AlphaParam(alpha_value)
     case = manufactured_case(alpha, Coefficients(variant))
-    grid = GridSpec(N=n_sub, M=m_steps, length=length, horizon=horizon)
+    grid = GridSpec(N=n_sub, M=m_steps)
     history = solve(case.problem, grid, alpha, SchemeKind(scheme))
     report = measure_errors(history, case.u_exact)
     return report.err_L2, report.err_C, report.err_grad
@@ -130,11 +128,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ConvergenceTable:
     temporal-only ones).  Rungs are independent solves, so they can fan out
     to a worker pool; assembly is ordered by rung either way.
     """
-    args = [
-        (spec.alpha, spec.scheme.value, spec.variant.value, m_steps, n_sub,
-         spec.length, spec.horizon)
-        for m_steps, n_sub in spec.rungs
-    ]
+    args = [(spec.alpha, spec.scheme.value, spec.variant.value, m_steps, n_sub)
+            for m_steps, n_sub in spec.rungs]
     if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             errors = list(pool.map(_run_rung, args))
@@ -143,8 +138,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ConvergenceTable:
 
     rows: list[TableRow] = []
     for r, ((m_steps, n_sub), (e_l2, e_c, e_g)) in enumerate(zip(spec.rungs, errors)):
-        tau = spec.horizon / m_steps
-        h = spec.length / n_sub
+        tau = 1.0 / m_steps
+        h = 1.0 / n_sub
         cos: dict[str, float | None] = {"co_L2": None, "co_C": None, "co_grad": None}
         if r > 0:
             prev = rows[r - 1]

@@ -120,13 +120,13 @@ BASELINE_TABLE4_CO = {
 TABLE1_EXCLUDED_CELLS = {(0.1, 0, "err_grad")}
 
 
-def _coupled_n(table: int, alpha: float, m_steps: int, length: float) -> int:
+def _coupled_n(table: int, alpha: float, m_steps: int) -> int:
     """Fallback N from the coupling rule when no hand-picked pair exists."""
     tau = 1.0 / m_steps
     if table == 1:  # tau^(3-a) = h^2
-        n = length * tau ** (-(3.0 - alpha) / 2.0)
+        n = tau ** (-(3.0 - alpha) / 2.0)
     else:  # table 3: tau^(3-a) = (2h)^4
-        n = 2.0 * length * tau ** (-(3.0 - alpha) / 4.0)
+        n = 2.0 * tau ** (-(3.0 - alpha) / 4.0)
     return max(2, math.floor(n))
 
 
@@ -149,7 +149,7 @@ def experiment_spec(
             if r < len(pairs) and n_override is None:
                 rungs.append(pairs[r])
             else:
-                n_sub = n_override if n_override is not None else _coupled_n(table, alpha, m_steps, 1.0)
+                n_sub = n_override if n_override is not None else _coupled_n(table, alpha, m_steps)
                 rungs.append((m_steps, n_sub))
         scheme = SchemeKind.ORDER2 if table == 1 else SchemeKind.COMPACT4
         variant = Coefficients.VARIABLE_XT if table == 1 else Coefficients.TIME_ONLY

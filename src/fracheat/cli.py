@@ -86,6 +86,10 @@ def parse_args(argv: list[str]) -> RunConfig:
         parser.error("--depth: ladder depth must be >= 1")
     if ns.jobs < 1:
         parser.error("--jobs: must be >= 1")
+    if ns.N is not None and ns.N < 2:
+        parser.error("--N: need at least 2 spatial subintervals")
+    if ns.M is not None and ns.M < 1:
+        parser.error("--M: need at least 1 time step")
 
     scheme = SchemeKind.COMPACT4 if ns.scheme == "compact" else SchemeKind.ORDER2
     if ns.table is not None:

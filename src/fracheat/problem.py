@@ -75,7 +75,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DiffusionProblem:
-    """Problem data. k, q, f take (x, t) with x an array; u0 takes x."""
+    """Problem data. k, q, f take (x, t) with x an array; u0 takes x.  ``solve`` checks them."""
 
     k: Field
     q: Field
@@ -85,32 +85,6 @@ class DiffusionProblem:
     horizon: float = 1.0
     c1_lower: float = 1.0
     coefficients: Coefficients = Coefficients.VARIABLE_XT
-
-    def validate_on_grid(self, grid: GridSpec) -> None:
-        """Check the stated coefficient bounds on the grid this solve will use."""
-        if not (
-            math.isclose(grid.length, self.length, rel_tol=1e-12)
-            and math.isclose(grid.horizon, self.horizon, rel_tol=1e-12)
-        ):
-            raise ValueError("grid domain does not match the problem domain")
-        x_half = grid.x_half_nodes()
-        x = grid.x_nodes()
-        time_only = self.coefficients is Coefficients.TIME_ONLY
-        for t in grid.t_nodes()[1:]:
-            kv = np.asarray(self.k(x_half, t))
-            qv = np.asarray(self.q(x, t))
-            for name, v in (("k", kv), ("q", qv)):
-                if not np.all(np.isfinite(v)):
-                    raise ValueError(f"{name} is not finite at t={t}")
-                if time_only and np.ptp(v) > 1e-12:
-                    raise ValueError(f"coefficients declared time-only but {name} varies in x at t={t}")
-            if np.any(kv < self.c1_lower - 1e-12):
-                raise ValueError(f"k drops below c1={self.c1_lower} at t={t}")
-            if np.any(qv < -1e-12):
-                raise ValueError(f"q is negative at t={t}")
-        u0v = self.u0(np.array([0.0, self.length]))
-        if max(abs(u0v[0]), abs(u0v[1])) > 1e-12:
-            raise ValueError("u0 must vanish at both boundaries")
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,31 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     return np.asarray(x)
 
 
+def _evaluate(problem: DiffusionProblem, name: str, nodes: np.ndarray, t: float) -> np.ndarray:
+    """Field ``name`` of the problem at ``nodes`` and time t, checked against
+    what the analysis assumes: finite values, k >= c1 > 0, q >= 0, k and q
+    constant in x if declared time-only, u0 zero at both ends.  Every value
+    the solver uses comes through here; an error names the field, t and x.
+    """
+    v = np.asarray(problem.u0(nodes) if name == "u0" else getattr(problem, name)(nodes, t), dtype=float)
+    if v.shape != nodes.shape:
+        raise ValueError(f"{name} has shape {v.shape}, not {nodes.shape}, at t={t}, x={nodes[0]}..{nodes[-1]}")
+    bad = None  # an array whose argmax is the offending node
+    if not np.isfinite(v).all():
+        what, bad = f"{name} is not finite", ~np.isfinite(v)
+    elif name == "k" and v.min() < problem.c1_lower - 1e-12:
+        what, bad = f"k drops below c1={problem.c1_lower}", v < problem.c1_lower - 1e-12
+    elif name == "q" and v.min() < -1e-12:
+        what, bad = "q is negative", v < -1e-12
+    elif name in ("k", "q") and problem.coefficients is Coefficients.TIME_ONLY and np.ptp(v) > 1e-12:
+        what, bad = f"coefficients declared time-only but {name} varies in x", np.abs(v - v[0])
+    elif name == "u0" and max(abs(v[0]), abs(v[-1])) > 1e-12:
+        what, bad = "u0 must vanish at both boundaries", np.r_[abs(v[0]), np.zeros(v.size - 2), abs(v[-1])]
+    if bad is not None:
+        raise ValueError(f"{what} at t={t}, x={nodes[int(np.argmax(bad))]}")
+    return v
+
+
 def apply_lambda(y: np.ndarray, j: int, problem: DiffusionProblem, grid: GridSpec) -> np.ndarray:
     """Second-order spatial operator at time level j+1.
 
@@ -109,8 +134,8 @@ def apply_lambda(y: np.ndarray, j: int, problem: DiffusionProblem, grid: GridSpe
     if y.size != grid.N + 1:
         raise ValueError(f"expected {grid.N + 1} nodal values, got {y.size}")
     t_new = (j + 1) * grid.tau
-    a_half = np.asarray(problem.k(grid.x_half_nodes(), t_new), dtype=float)
-    d = np.asarray(problem.q(grid.x_nodes()[1:-1], t_new), dtype=float)
+    a_half = _evaluate(problem, "k", grid.x_half_nodes(), t_new)
+    d = _evaluate(problem, "q", grid.x_nodes(), t_new)[1:-1]
     out = np.zeros_like(y)
     h2 = grid.h * grid.h
     out[1:-1] = (a_half[1:] * y[2:] - (a_half[1:] + a_half[:-1]) * y[1:-1] + a_half[:-1] * y[:-2]) / h2
@@ -158,23 +183,24 @@ def _advance(
     hist = w_0 m^j - sum_{s=0}^{j-1} w_{j-s} (m^{s+1} - m^s).  For order2
     the implicit matrix is rho w_0 I - Lambda(t_new); for compact4 it is
     (rho w_0 + q) H - k D2, whose entries are constant since k = k(t),
-    q = q(t).  Kept as its own call so that each level's temporaries are
-    freed before the next one is built.  The node arrays are rebuilt rather
-    than held for the whole level: at N = 50000 a held copy fragments the
-    heap around the history temporaries and raises peak RSS by ~13 MB.
+    q = q(t).  f, k and q come from ``_evaluate``, once per level.  Kept as
+    its own call so that each level's temporaries are freed before the next
+    one is built.  The node arrays are rebuilt rather than held for the
+    whole level: at N = 50000 a held copy fragments the heap around the
+    history temporaries and raises peak RSS by ~13 MB.
     """
     hist = w[0] * mass[j]
     if j > 0:
         hist = hist - np.tensordot(w[1 : j + 1][::-1], np.diff(mass[: j + 1], axis=0), axes=(0, 0))
-    phi = np.asarray(problem.f(grid.x_nodes(), t_new), dtype=float)
-    a_half = np.asarray(problem.k(grid.x_half_nodes(), t_new), dtype=float)
-    d = np.asarray(problem.q(grid.x_nodes()[1:-1], t_new), dtype=float)
+    phi = _evaluate(problem, "f", grid.x_nodes(), t_new)
+    a_half = _evaluate(problem, "k", grid.x_half_nodes(), t_new)
+    d = _evaluate(problem, "q", grid.x_nodes(), t_new)[1:-1]
     h2 = grid.h * grid.h
     coef = rho * w[0]
     if compact:
         phi = apply_compact_H(phi, grid)
-        wd = coef + d.flat[0]
-        a = a_half.flat[0]
+        wd = coef + d[0]
+        a = a_half[0]
         diag = np.full(grid.N - 1, wd * 10.0 / 12.0 + 2.0 * a / h2)
         off = np.full(grid.N - 2, wd / 12.0 - a / h2)
     else:
@@ -229,11 +255,11 @@ def solve(
     compact = SchemeKind(scheme) is SchemeKind.COMPACT4
     if compact and problem.coefficients is not Coefficients.TIME_ONLY:
         raise ValueError("the compact scheme requires time-only coefficients k(t), q(t)")
-    problem.validate_on_grid(grid)
+    if not np.allclose((grid.length, grid.horizon), (problem.length, problem.horizon), rtol=1e-12, atol=0.0):
+        raise ValueError("grid domain does not match the problem domain")
     layers = np.zeros((grid.M + 1, grid.N + 1))
-    layers[0] = problem.u0(grid.x_nodes())
-    layers[0, 0] = 0.0
-    layers[0, -1] = 0.0
+    layers[0] = _evaluate(problem, "u0", grid.x_nodes(), 0.0)
+    layers[0, [0, -1]] = 0.0
 
     m1 = max(1, math.ceil((1.0 / grid.tau) ** (1.0 / (2.0 - alpha.alpha))))
     sub = np.zeros((m1 + 1, grid.N + 1))

@@ -51,6 +51,9 @@ def test_parse_properties():
         ["--single", "--N", "10"],
         ["--table", "1", "--depth", "0"],
         ["--table", "1", "--jobs", "0"],
+        ["--single", "--N", "1", "--M", "5", "--alpha", "0.5"],
+        ["--single", "--N", "8", "--M", "0", "--alpha", "0.5"],
+        ["--table", "1", "--N", "1"],
     ],
 )
 def test_configuration_errors_exit_2(argv, capsys):

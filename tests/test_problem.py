@@ -2,17 +2,22 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracheat import (
     AlphaParam,
     Coefficients,
     DiffusionProblem,
     GridSpec,
+    SchemeKind,
     caputo_by_quadrature,
     manufactured_case,
+    solve,
 )
 
 CSTEP = 1e-20
@@ -105,35 +110,45 @@ def test_manufactured_residual_is_zero(variant):
     assert worst < 1e-8, f"largest residual {worst:.3e}"
 
 
+GRID = GridSpec(N=8, M=4)
+ALPHA = AlphaParam(0.5)
+# The first evaluation of k, q and f is the first L1 bootstrap substep,
+# t = tau/M1 with M1 = ceil(M^(1/(2-alpha))) = 3 substeps.
+T1 = GRID.tau / 3
+
+
+def _rejects(problem, message, scheme=SchemeKind.ORDER2):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve(problem, GRID, ALPHA, scheme)
+
+
 def test_validate_on_grid_accepts_builtin_case():
-    case = manufactured_case(AlphaParam(0.5))
-    case.problem.validate_on_grid(GridSpec(N=12, M=6))
+    for variant, scheme in ((Coefficients.VARIABLE_XT, SchemeKind.ORDER2),
+                            (Coefficients.TIME_ONLY, SchemeKind.COMPACT4)):
+        case = manufactured_case(ALPHA, variant)
+        assert np.isfinite(solve(case.problem, GridSpec(N=12, M=6), ALPHA, scheme).layers).all()
 
 
 def test_validate_on_grid_rejects_bad_coefficients():
-    base = manufactured_case(AlphaParam(0.5)).problem
+    base = manufactured_case(ALPHA).problem
     sick_k = DiffusionProblem(
         k=lambda x, t: 0.5 * np.ones_like(np.asarray(x, dtype=float)),
         q=base.q, f=base.f, u0=base.u0, c1_lower=1.0)
-    with pytest.raises(ValueError):
-        sick_k.validate_on_grid(GridSpec(N=8, M=4))
+    _rejects(sick_k, f"k drops below c1=1.0 at t={T1}, x=0.0625")
     sick_q = DiffusionProblem(
         k=base.k, q=lambda x, t: -np.ones_like(np.asarray(x, dtype=float)),
         f=base.f, u0=base.u0, c1_lower=1.0)
-    with pytest.raises(ValueError):
-        sick_q.validate_on_grid(GridSpec(N=8, M=4))
+    _rejects(sick_q, f"q is negative at t={T1}, x=0.0")
     sick_u0 = DiffusionProblem(
         k=base.k, q=base.q, f=base.f, u0=lambda x: np.cos(np.asarray(x)), c1_lower=1.0)
-    with pytest.raises(ValueError):
-        sick_u0.validate_on_grid(GridSpec(N=8, M=4))
+    _rejects(sick_u0, "u0 must vanish at both boundaries at t=0.0, x=0.0")
 
 
 def test_time_only_declaration_is_checked():
-    base = manufactured_case(AlphaParam(0.5), Coefficients.VARIABLE_XT).problem
+    base = manufactured_case(ALPHA, Coefficients.VARIABLE_XT).problem
     lying = DiffusionProblem(k=base.k, q=base.q, f=base.f, u0=base.u0,
                              c1_lower=1.0, coefficients=Coefficients.TIME_ONLY)
-    with pytest.raises(ValueError):
-        lying.validate_on_grid(GridSpec(N=8, M=4))
+    _rejects(lying, f"time-only but k varies in x at t={T1}, x=0.9375")
 
 
 def _with(base, **fields):
@@ -141,21 +156,95 @@ def _with(base, **fields):
 
 
 def test_validate_on_grid_rejects_non_finite_k():
-    base = manufactured_case(AlphaParam(0.5)).problem
+    base = manufactured_case(ALPHA).problem
     sick = _with(base, k=lambda x, t: np.full_like(np.asarray(x, dtype=float), np.nan))
-    with pytest.raises(ValueError, match=r"k is not finite at t=0\.25"):
-        sick.validate_on_grid(GridSpec(N=8, M=4))
+    _rejects(sick, f"k is not finite at t={T1}, x=0.0625")
 
 
 def test_validate_on_grid_rejects_non_finite_q():
-    base = manufactured_case(AlphaParam(0.5)).problem
+    base = manufactured_case(ALPHA).problem
     sick = _with(base, q=lambda x, t: np.full_like(np.asarray(x, dtype=float), np.inf))
-    with pytest.raises(ValueError, match=r"q is not finite at t=0\.25"):
-        sick.validate_on_grid(GridSpec(N=8, M=4))
+    _rejects(sick, f"q is not finite at t={T1}, x=0.0")
 
 
 def test_time_only_declaration_rejects_x_varying_q():
-    base = manufactured_case(AlphaParam(0.5), Coefficients.TIME_ONLY).problem
+    base = manufactured_case(ALPHA, Coefficients.TIME_ONLY).problem
     lying = _with(base, q=lambda x, t: 5.0 * np.asarray(x, dtype=float))
-    with pytest.raises(ValueError, match=r"q varies in x at t=0\.25"):
-        lying.validate_on_grid(GridSpec(N=8, M=4))
+    for scheme in SchemeKind:
+        _rejects(lying, f"q varies in x at t={T1}, x=1.0", scheme)
+
+
+def test_non_finite_source_and_initial_value_are_rejected():
+    base = manufactured_case(ALPHA).problem
+    _rejects(_with(base, f=lambda x, t: np.full_like(x, np.nan)), f"f is not finite at t={T1}, x=0.0")
+    u0_nan = lambda x: np.where((x > 0.0) & (x < 1.0), np.nan, 0.0)
+    _rejects(_with(base, u0=u0_nan), "u0 is not finite at t=0.0, x=0.125")
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_fields_must_return_one_value_per_node(scheme):
+    base = manufactured_case(ALPHA, Coefficients.TIME_ONLY).problem
+    scalar_k, scalar_f, short_k = (lambda x, t: 2.0), (lambda x, t: 1.0), (lambda x, t: np.full(3, 2.0))
+    _rejects(_with(base, k=scalar_k), f"k has shape (), not (8,), at t={T1}, x=0.0625..0.9375", scheme)
+    _rejects(_with(base, f=scalar_f), f"f has shape (), not (9,), at t={T1}, x=0.0..1.0", scheme)
+    _rejects(_with(base, k=short_k), f"k has shape (3,), not (8,), at t={T1}, x=0.0625..0.9375", scheme)
+
+
+def test_bad_values_only_at_bootstrap_substeps_are_rejected():
+    """k < c1 or q < 0 for t < tau only: the L1 bootstrap is the only user."""
+    base = manufactured_case(ALPHA).problem
+    early_k = lambda x, t: (0.5 if t < GRID.tau else 2.0) * np.ones_like(x)
+    _rejects(_with(base, k=early_k), f"k drops below c1=1.0 at t={T1}, x=0.0625")
+    early_q = lambda x, t: (-1.0 if t < GRID.tau else 1.0) * np.ones_like(x)
+    _rejects(_with(base, q=early_q), f"q is negative at t={T1}, x=0.0")
+    # one bad node at the second substep only
+    late_k = lambda x, t: np.where((x > 0.5) & (t == 2 * T1), np.nan, base.k(x, t))
+    _rejects(_with(base, k=late_k), f"k is not finite at t={2 * T1}, x=0.5625")
+
+
+_BAD_VALUES = {
+    "k": (np.nan, np.inf, 0.5),  # c1 = 1
+    "q": (np.nan, -np.inf, -1.0),
+    "f": (np.nan, np.inf),
+    "u0": (np.nan, -np.inf),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    scheme=st.sampled_from(list(SchemeKind)),
+    alpha=st.floats(0.05, 0.95),
+    n_sub=st.integers(2, 7),
+    m_steps=st.integers(1, 5),
+    name=st.sampled_from(sorted(_BAD_VALUES)),
+)
+def test_a_poisoned_node_is_named_by_field_t_and_x(data, scheme, alpha, n_sub, m_steps, name):
+    """One bad value at any node and any time the solve evaluates a field."""
+    alpha = AlphaParam(alpha)
+    variant = Coefficients.TIME_ONLY if scheme is SchemeKind.COMPACT4 else Coefficients.VARIABLE_XT
+    base = manufactured_case(alpha, variant).problem
+    grid = GridSpec(N=n_sub, M=m_steps)
+    field = getattr(base, name)
+    times = []
+
+    def spy(x, *t):
+        times.append(t[0] if t else 0.0)
+        return field(x, *t)
+
+    solve(_with(base, **{name: spy}), grid, alpha, scheme)
+    t_bad = data.draw(st.sampled_from(times), label="t")
+    nodes = grid.x_half_nodes() if name == "k" else grid.x_nodes()
+    i_bad = data.draw(st.integers(0, nodes.size - 1), label="node")
+    value = data.draw(st.sampled_from(_BAD_VALUES[name]), label="value")
+
+    def poisoned(x, *t):
+        v = np.array(field(x, *t), dtype=float)
+        if (t[0] if t else 0.0) == t_bad:
+            v[i_bad] = value
+        return v
+
+    with pytest.raises(ValueError) as err:
+        solve(_with(base, **{name: poisoned}), grid, alpha, scheme)
+    assert str(err.value).startswith(f"{name} ")
+    assert str(err.value).endswith(f" at t={t_bad}, x={nodes[i_bad]}")

@@ -1,5 +1,6 @@
 """Spatial operators, tridiagonal solve, and full solves level by level."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -276,6 +277,27 @@ def test_step_compact_rejects_variable_coefficients():
 
 
 # -------------------------------------------------------------------- solve
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_solve_evaluates_each_field_once_per_level(scheme):
+    alpha = AlphaParam(0.5)
+    variant = Coefficients.TIME_ONLY if scheme is SchemeKind.COMPACT4 else Coefficients.VARIABLE_XT
+    base = manufactured_case(alpha, variant).problem
+    calls = dict.fromkeys(("k", "q", "f", "u0"), 0)
+
+    def counted(name):
+        field = getattr(base, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return field(*args)
+
+        return wrapper
+
+    solve(dataclasses.replace(base, **{n: counted(n) for n in calls}), GridSpec(N=8, M=4), alpha, scheme)
+    m1 = 3  # L1 substeps, ceil(4^(1/1.5)); then levels 2..M
+    assert calls == {"k": m1 + 3, "q": m1 + 3, "f": m1 + 3, "u0": 1}
 
 
 def test_solve_zero_data_stays_zero():
