@@ -74,7 +74,7 @@ def parse_args(argv: list[str]) -> RunConfig:
     parser.add_argument("--M", type=int, default=None, help="time steps (--single)")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "md"), default="csv")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for ladder rungs")
+    parser.add_argument("--jobs", type=int, default=None, help="worker processes for ladder rungs (default 1)")
     ns = parser.parse_args(argv)
 
     chosen = [name for name, on in
@@ -82,9 +82,14 @@ def parse_args(argv: list[str]) -> RunConfig:
               if on]
     if len(chosen) != 1:
         parser.error("choose exactly one of --table, --properties, --single")
+    unused = {"table": ("scheme", "M"), "single": ("depth", "jobs"),
+              "properties": ("alpha", "N", "M", "depth", "scheme")}[chosen[0]]
+    given = [f"--{name}" for name in unused if getattr(ns, name) is not None]
+    if given:
+        parser.error(f"{', '.join(given)}: not used by --{chosen[0]}")
     if ns.depth is not None and ns.depth < 1:
         parser.error("--depth: ladder depth must be >= 1")
-    if ns.jobs < 1:
+    if ns.jobs is not None and ns.jobs < 1:
         parser.error("--jobs: must be >= 1")
     if ns.N is not None and ns.N < 2:
         parser.error("--N: need at least 2 spatial subintervals")
@@ -97,7 +102,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         scheme = SchemeKind.ORDER2 if ns.table in (1, 2) else SchemeKind.COMPACT4
         return RunConfig(command=f"table{ns.table}", alpha_list=alphas, scheme=scheme,
                          output_path=ns.out, format=ns.format, depth=ns.depth,
-                         n_override=ns.N, jobs=ns.jobs, table=ns.table)
+                         n_override=ns.N, jobs=ns.jobs or 1, table=ns.table)
     if ns.single:
         if ns.N is None or ns.M is None or not ns.alpha:
             parser.error("--single needs --N, --M and --alpha")

@@ -69,33 +69,34 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     """Forward elimination / back substitution for a tridiagonal system.
 
     Raises on a (near-)zero pivot, which for the systems assembled here
-    signals loss of diagonal dominance rather than an expected state.
+    signals loss of diagonal dominance rather than an expected state.  The
+    sweep runs unchecked and the pivots are checked after it; an exact zero
+    stops it early.  Either way the error names the first offending row.
     """
     n = sys.diag.size
-    lower = sys.lower.tolist()
-    diag = sys.diag.tolist()
-    upper = sys.upper.tolist()
-    rhs = sys.rhs.tolist()
-    scale = max(abs(v) for v in diag)
-    cp = [0.0] * (n - 1)
-    dp = [0.0] * n
-    piv = diag[0]
-    if abs(piv) <= 1e-300 + 1e-15 * scale:
-        raise ZeroDivisionError("zero pivot in tridiagonal elimination (row 0)")
-    if n > 1:
-        cp[0] = upper[0] / piv
-    dp[0] = rhs[0] / piv
-    for i in range(1, n):
-        piv = diag[i] - lower[i - 1] * cp[i - 1]
-        if abs(piv) <= 1e-300 + 1e-15 * scale:
-            raise ZeroDivisionError(f"zero pivot in tridiagonal elimination (row {i})")
-        if i < n - 1:
-            cp[i] = upper[i] / piv
-        dp[i] = (rhs[i] - lower[i - 1] * dp[i - 1]) / piv
-    x = dp
-    for i in range(n - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
-    return np.asarray(x)
+    ps: list[float] = []
+    cs: list[float] = []
+    gs: list[float] = []
+    c = g = 0.0
+    try:
+        for l, d, u, r in zip([0.0] + sys.lower.tolist(), sys.diag.tolist(), sys.upper.tolist() + [0.0],
+                              sys.rhs.tolist()):
+            p = d - l * c
+            ps.append(p)
+            c = u / p
+            g = (r - l * g) / p
+            cs.append(c)
+            gs.append(g)
+    except ZeroDivisionError:  # an exact zero pivot, the last entry of ps
+        pass
+    small = np.flatnonzero(np.abs(ps) <= 1e-300 + 1e-15 * np.max(np.abs(sys.diag)))
+    if small.size or len(gs) < n:
+        row = small[0] if small.size else len(gs)
+        raise ZeroDivisionError(f"zero pivot in tridiagonal elimination (row {row})")
+    x = [gs[-1]]
+    for c, g in zip(cs[-2::-1], gs[-2::-1]):
+        x.append(g - c * x[-1])
+    return np.array(x[::-1])
 
 
 def _evaluate(problem: DiffusionProblem, name: str, nodes: np.ndarray, t: float) -> np.ndarray:
@@ -167,6 +168,17 @@ class SolutionHistory:
     alpha: AlphaParam
 
 
+def _history(w: np.ndarray, mass: np.ndarray, j: int) -> np.ndarray:
+    """w_0 m^j - sum_{s=0}^{j-1} w_{j-s} (m^{s+1} - m^s), summed by parts.
+
+    The sum equals sum_{s=0}^{j} kappa_s m^s with kappa_0 = w_j,
+    kappa_s = w_{j-s} - w_{j-s+1} and kappa_j = w_0 - w_1 (kappa_0 = w_0
+    when j = 0): one matrix-vector product over the contiguous mass layers
+    0..j, with no temporary the size of the history.
+    """
+    return np.diff(w[j::-1], prepend=0.0) @ mass[: j + 1]
+
+
 def _advance(
     problem: DiffusionProblem,
     grid: GridSpec,
@@ -185,16 +197,14 @@ def _advance(
     (rho w_0 + q) H - k D2, whose entries are constant since k = k(t),
     q = q(t).  f, k and q come from ``_evaluate``, once per level.  Kept as
     its own call so that each level's temporaries are freed before the next
-    one is built.  The node arrays are rebuilt rather than held for the
-    whole level: at N = 50000 a held copy fragments the heap around the
-    history temporaries and raises peak RSS by ~13 MB.
+    one is built.  The node array x is built once per level and held for
+    it; at N = 50000 that costs one 400 KB array of peak RSS.
     """
-    hist = w[0] * mass[j]
-    if j > 0:
-        hist = hist - np.tensordot(w[1 : j + 1][::-1], np.diff(mass[: j + 1], axis=0), axes=(0, 0))
-    phi = _evaluate(problem, "f", grid.x_nodes(), t_new)
+    hist = _history(w, mass, j)
+    x = grid.x_nodes()
+    phi = _evaluate(problem, "f", x, t_new)
     a_half = _evaluate(problem, "k", grid.x_half_nodes(), t_new)
-    d = _evaluate(problem, "q", grid.x_nodes(), t_new)[1:-1]
+    d = _evaluate(problem, "q", x, t_new)[1:-1]
     h2 = grid.h * grid.h
     coef = rho * w[0]
     if compact:

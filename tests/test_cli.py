@@ -37,6 +37,8 @@ def test_parse_single():
 def test_parse_properties():
     cfg = parse_args(["--properties"])
     assert cfg.command == "properties"
+    # every benchmark command passes --jobs 1, --properties included
+    assert parse_args(["--properties", "--jobs", "1"]).command == "properties"
 
 
 @pytest.mark.parametrize(
@@ -54,6 +56,15 @@ def test_parse_properties():
         ["--single", "--N", "1", "--M", "5", "--alpha", "0.5"],
         ["--single", "--N", "8", "--M", "0", "--alpha", "0.5"],
         ["--table", "1", "--N", "1"],
+        ["--table", "1", "--scheme", "compact"],
+        ["--table", "1", "--M", "10"],
+        ["--single", "--N", "8", "--M", "4", "--alpha", "0.5", "--depth", "3"],
+        ["--single", "--N", "8", "--M", "4", "--alpha", "0.5", "--jobs", "4"],
+        ["--properties", "--alpha", "0.5"],
+        ["--properties", "--N", "8"],
+        ["--properties", "--M", "4"],
+        ["--properties", "--depth", "2"],
+        ["--properties", "--scheme", "order2"],
     ],
 )
 def test_configuration_errors_exit_2(argv, capsys):

@@ -22,6 +22,8 @@ from fracheat import (
     solve,
     thomas_solve,
 )
+from fracheat.kernel import _l2_weights, a_coeff, b_coeff
+from fracheat.solver import _history
 
 
 def constant_coefficient_problem(f=None, u0=None, q_const=0.0):
@@ -154,6 +156,88 @@ def test_thomas_zero_pivot():
         thomas_solve(sys)
 
 
+def _reference_thomas(lower, diag, upper, rhs):
+    """The original row-by-row Thomas loop, pivot check inside the sweep."""
+    n = len(diag)
+    scale = max(abs(v) for v in diag)
+    cp = [0.0] * (n - 1)
+    dp = [0.0] * n
+    piv = diag[0]
+    if abs(piv) <= 1e-300 + 1e-15 * scale:
+        raise ZeroDivisionError("zero pivot in tridiagonal elimination (row 0)")
+    if n > 1:
+        cp[0] = upper[0] / piv
+    dp[0] = rhs[0] / piv
+    for i in range(1, n):
+        piv = diag[i] - lower[i - 1] * cp[i - 1]
+        if abs(piv) <= 1e-300 + 1e-15 * scale:
+            raise ZeroDivisionError(f"zero pivot in tridiagonal elimination (row {i})")
+        if i < n - 1:
+            cp[i] = upper[i] / piv
+        dp[i] = (rhs[i] - lower[i - 1] * dp[i - 1]) / piv
+    x = dp
+    for i in range(n - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
+    return np.asarray(x)
+
+
+def _multiplier_into(lower, diag, upper, row):
+    """The multiplier c_{row-1} that meets row ``row``; inf past an exact zero pivot."""
+    c = 0.0
+    for i in range(row):
+        pivot = diag[i] - (lower[i - 1] * c if i else 0.0)
+        c = upper[i] / pivot if pivot else math.inf
+    return c
+
+
+def _solve_or_message(solver, *system):
+    try:
+        return solver(*system)
+    except ZeroDivisionError as err:
+        return str(err)
+
+
+def test_thomas_matches_reference_loop_bit_for_bit():
+    # symmetric and not, mixed-sign diagonals, diagonal/off-diagonal ratio
+    # from 1e-2 to 1e10, n = 1..500; some rows get an exact zero pivot, a
+    # tiny one the tolerance catches, or a tiny one followed by an exact
+    # zero; a tenth have a zero right-hand side, whose signed zeros the
+    # back substitution must keep
+    rng = np.random.default_rng(2024)
+    kinds = dict.fromkeys(("solved", "zero", "tiny", "tiny then zero"), 0)
+    for _ in range(400):
+        n = int(rng.integers(1, 501))
+        lower = rng.uniform(-1.0, 1.0, n - 1)
+        upper = lower.copy() if rng.random() < 0.5 else rng.uniform(-1.0, 1.0, n - 1)
+        diag = 10.0 ** rng.uniform(-2.0, 10.0) * rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        rhs = rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0) * (rng.random() < 0.9)
+        lower, diag, upper, rhs = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+        kind = rng.choice(list(kinds)) if n > 2 else "solved"
+        if kind != "solved":
+            row = int(rng.integers(0, n - 1))
+            pivot_part = lower[row - 1] * _multiplier_into(lower, diag, upper, row) if row else 0.0
+            if not math.isfinite(pivot_part):
+                continue
+            # 4e-16 of the scale survives rounding next to pivot_part and
+            # stays under the 1e-15 tolerance
+            diag[row] = pivot_part + (0.0 if kind == "zero" else 4e-16 * max(abs(v) for v in diag))
+            if kind == "tiny then zero":
+                later = int(rng.integers(row + 1, n))
+                diag[later] = lower[later - 1] * _multiplier_into(lower, diag, upper, later)
+                if not math.isfinite(diag[later]):
+                    continue
+        args = (lower, diag, upper, rhs)
+        want = _solve_or_message(_reference_thomas, *args)
+        got = _solve_or_message(lambda *arrays: thomas_solve(TridiagonalSystem(*map(np.array, arrays))), *args)
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.tobytes() == want.tobytes()
+        kinds["solved" if not isinstance(want, str) else kind] += 1
+    assert min(kinds.values()) > 0, kinds
+
+
 def test_tridiagonal_shape_validation():
     with pytest.raises(ValueError):
         TridiagonalSystem(lower=np.zeros(3), diag=np.ones(3), upper=np.zeros(2), rhs=np.ones(3))
@@ -210,6 +294,24 @@ def test_bootstrap_accuracy_order():
 
 
 # ----------------------------------------------------------------- stepping
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 3, 50])
+def test_history_by_parts_matches_difference_form(j):
+    # both weight families the level loop feeds it: the L1 vector of the
+    # bootstrap, longer than the level needs, and the L2 vector of level j
+    rng = np.random.default_rng(100 + j)
+    for a in (0.1, 0.5, 0.9):
+        alpha = AlphaParam(a)
+        idx = np.arange(j + 4)
+        families = [a_coeff(idx, alpha)]
+        if j >= 1:
+            families.append(_l2_weights(j, a_coeff(idx, alpha), b_coeff(idx, alpha)))
+        for w in families:
+            mass = rng.standard_normal((j + 1, 33)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            diff_form = w[0] * mass[j] - sum(w[j - s] * (mass[s + 1] - mass[s]) for s in range(j))
+            bound = 1e-13 * np.sum(np.abs(w[: j + 1])) * np.max(np.abs(mass))
+            assert np.max(np.abs(_history(w, mass, j) - diff_form)) <= bound
 
 
 def _hand_history(c, m, j):
@@ -334,26 +436,25 @@ def test_solve_layer0_and_boundaries():
 
 
 def test_solve_superposition():
-    # solve is linear in (u0, f)
-    alpha = AlphaParam(0.5)
-    base = manufactured_case(alpha).problem
-    rng = np.random.default_rng(15)
-    for trial in range(5):
-        m1, m2 = rng.integers(1, 4, 2)
-        f2 = lambda x, t: np.cos(m1 * np.asarray(x, dtype=float)) * (t + 0.5)
-        u02 = lambda x: np.sin(m2 * np.pi * np.asarray(x, dtype=float))
-        p2 = DiffusionProblem(k=base.k, q=base.q, f=f2, u0=u02, c1_lower=1.0)
-        psum = DiffusionProblem(
-            k=base.k, q=base.q,
-            f=lambda x, t: base.f(x, t) + f2(x, t),
-            u0=lambda x: base.u0(x) + u02(x),
-            c1_lower=1.0,
-        )
-        grid = GridSpec(N=16, M=8)
-        h_sum = solve(psum, grid, alpha)
-        h_1 = solve(base, grid, alpha)
-        h_2 = solve(p2, grid, alpha)
-        assert np.max(np.abs(h_sum.layers - h_1.layers - h_2.layers)) < 1e-10
+    # solve is linear in (u0, f), for both schemes, up to rounding: the
+    # measured gap is at most 2.4 eps max|y| on this grid
+    eps = np.finfo(float).eps
+    grid = GridSpec(N=16, M=8)
+    for scheme, variant in ((SchemeKind.ORDER2, Coefficients.VARIABLE_XT),
+                            (SchemeKind.COMPACT4, Coefficients.TIME_ONLY)):
+        for a in (0.2, 0.5, 0.8):
+            alpha = AlphaParam(a)
+            base = manufactured_case(alpha, variant).problem
+            rng = np.random.default_rng(15)
+            for trial in range(5):
+                m1, m2 = rng.integers(1, 4, 2)
+                f2 = lambda x, t: np.cos(m1 * np.asarray(x, dtype=float)) * (t + 0.5)
+                u02 = lambda x: np.sin(m2 * np.pi * np.asarray(x, dtype=float))
+                p2 = dataclasses.replace(base, f=f2, u0=u02)
+                psum = dataclasses.replace(base, f=lambda x, t: base.f(x, t) + f2(x, t),
+                                           u0=lambda x: base.u0(x) + u02(x))
+                y_sum, y_1, y_2 = (solve(p, grid, alpha, scheme).layers for p in (psum, base, p2))
+                assert np.max(np.abs(y_sum - y_1 - y_2)) <= 8.0 * eps * np.max(np.abs(y_sum)), (scheme, a)
 
 
 def test_solve_stability_energy_bounded():
