@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "norm_grad",
     "run_experiment",
     "sci6",
+    "solve_manufactured",
     "tables_to_csv",
     "tables_to_markdown",
 ]
@@ -53,8 +55,6 @@ class ErrorReport:
     err_L2: float
     err_C: float
     err_grad: float
-    grid: GridSpec
-    alpha: float
 
 
 def measure_errors(history: SolutionHistory, u_exact) -> ErrorReport:
@@ -68,8 +68,7 @@ def measure_errors(history: SolutionHistory, u_exact) -> ErrorReport:
         err_c = max(err_c, float(np.max(np.abs(z))))
         err_l2 = max(err_l2, norm_L2(z, h))
         err_grad = max(err_grad, norm_grad(z, h))
-    return ErrorReport(err_L2=err_l2, err_C=err_c, err_grad=err_grad, grid=grid,
-                       alpha=history.alpha.alpha)
+    return ErrorReport(err_L2=err_l2, err_C=err_c, err_grad=err_grad)
 
 
 def convergence_order(e1: float, e2: float, s1: float, s2: float) -> float:
@@ -87,7 +86,6 @@ class ExperimentSpec:
 
     alpha: float
     scheme: SchemeKind
-    variant: Coefficients
     rungs: tuple[tuple[int, int], ...]  # (M, N) per rung, coarse to fine on [0,1]x[0,1]
 
 
@@ -109,15 +107,17 @@ class ConvergenceTable:
     rows: tuple[TableRow, ...] = field(default_factory=tuple)
 
 
-def _run_rung(args: tuple[float, str, str, int, int]) -> tuple[float, float, float]:
-    """One ladder rung; module-level so a process pool can pickle it."""
-    alpha_value, scheme, variant, m_steps, n_sub = args
-    alpha = AlphaParam(alpha_value)
-    case = manufactured_case(alpha, Coefficients(variant))
-    grid = GridSpec(N=n_sub, M=m_steps)
-    history = solve(case.problem, grid, alpha, SchemeKind(scheme))
-    report = measure_errors(history, case.u_exact)
-    return report.err_L2, report.err_C, report.err_grad
+def solve_manufactured(alpha: float, scheme: SchemeKind, m_steps: int, n_sub: int) -> ErrorReport:
+    """Solve the built-in manufactured case on [0,1]x[0,1] and measure its errors.
+
+    compact4 runs the time-only coefficient pair it requires, order2 the
+    x- and t-dependent one.  Module-level so a process pool can pickle it.
+    """
+    scheme = SchemeKind(scheme)
+    variant = Coefficients.TIME_ONLY if scheme is SchemeKind.COMPACT4 else Coefficients.VARIABLE_XT
+    case = manufactured_case(AlphaParam(alpha), variant)
+    history = solve(case.problem, GridSpec(N=n_sub, M=m_steps), case.alpha, scheme)
+    return measure_errors(history, case.u_exact)
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ConvergenceTable:
@@ -128,29 +128,31 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ConvergenceTable:
     temporal-only ones).  Rungs are independent solves, so they can fan out
     to a worker pool; assembly is ordered by rung either way.
     """
-    args = [(spec.alpha, spec.scheme.value, spec.variant.value, m_steps, n_sub)
-            for m_steps, n_sub in spec.rungs]
-    if jobs > 1 and len(args) > 1:
+    ms = [m_steps for m_steps, _ in spec.rungs]
+    ns = [n_sub for _, n_sub in spec.rungs]
+    args =(repeat(spec.alpha), repeat(spec.scheme), ms, ns)
+    if jobs > 1 and len(ms) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            errors = list(pool.map(_run_rung, args))
+            reports = list(pool.map(solve_manufactured, *args))
     else:
-        errors = [_run_rung(a) for a in args]
+        reports = list(map(solve_manufactured, *args))
 
     rows: list[TableRow] = []
-    for r, ((m_steps, n_sub), (e_l2, e_c, e_g)) in enumerate(zip(spec.rungs, errors)):
+    for r, (m_steps, n_sub, report) in enumerate(zip(ms, ns, reports)):
         tau = 1.0 / m_steps
         h = 1.0 / n_sub
         cos: dict[str, float | None] = {"co_L2": None, "co_C": None, "co_grad": None}
         if r > 0:
             prev = rows[r - 1]
             for name, e_prev, e_cur in (
-                ("co_L2", prev.err_L2, e_l2),
-                ("co_C", prev.err_C, e_c),
-                ("co_grad", prev.err_grad, e_g),
+                ("co_L2", prev.err_L2, report.err_L2),
+                ("co_C", prev.err_C, report.err_C),
+                ("co_grad", prev.err_grad, report.err_grad),
             ):
                 if e_prev > 0.0 and e_cur > 0.0:
                     cos[name] = convergence_order(e_prev, e_cur, prev.tau, tau)
-        rows.append(TableRow(tau=tau, h=h, err_L2=e_l2, err_C=e_c, err_grad=e_g, **cos))
+        rows.append(TableRow(tau=tau, h=h, err_L2=report.err_L2, err_C=report.err_C,
+                             err_grad=report.err_grad, **cos))
     return ConvergenceTable(alpha=spec.alpha, rows=tuple(rows))
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 from .analysis import ExperimentSpec
-from .problem import Coefficients
 from .solver import SchemeKind
 
 __all__ = [
@@ -139,6 +138,7 @@ def experiment_spec(
     """Ladder definition for one of the built-in experiment protocols."""
     if table not in (1, 2, 3, 4):
         raise ValueError(f"unknown table {table}")
+    scheme = SchemeKind.ORDER2 if table in (1, 2) else SchemeKind.COMPACT4
     if table in (1, 3):
         pairs = (_TABLE1_PAIRS if table == 1 else _TABLE3_PAIRS).get(alpha, [])
         base_m = 10 if table == 1 else 40
@@ -151,13 +151,9 @@ def experiment_spec(
             else:
                 n_sub = n_override if n_override is not None else _coupled_n(table, alpha, m_steps)
                 rungs.append((m_steps, n_sub))
-        scheme = SchemeKind.ORDER2 if table == 1 else SchemeKind.COMPACT4
-        variant = Coefficients.VARIABLE_XT if table == 1 else Coefficients.TIME_ONLY
     else:
         ms = _TABLE2_MS if table == 2 else _TABLE4_MS
         depth = len(ms) if depth is None else depth
         n_sub = n_override if n_override is not None else (_TABLE2_N if table == 2 else _TABLE4_N)
         rungs = [(ms[r] if r < len(ms) else ms[-1] * 2 ** (r - len(ms) + 1), n_sub) for r in range(depth)]
-        scheme = SchemeKind.ORDER2 if table == 2 else SchemeKind.COMPACT4
-        variant = Coefficients.VARIABLE_XT if table == 2 else Coefficients.TIME_ONLY
-    return ExperimentSpec(alpha=alpha, scheme=scheme, variant=variant, rungs=tuple(rungs))
+    return ExperimentSpec(alpha=alpha, scheme=scheme, rungs=tuple(rungs))

@@ -10,11 +10,10 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .analysis import ConvergenceTable, measure_errors, run_experiment, sci6, tables_to_csv, tables_to_markdown
+from .analysis import (ConvergenceTable, run_experiment, sci6, solve_manufactured, tables_to_csv,
+                       tables_to_markdown)
 from .baselines import TABLE_ALPHAS, experiment_spec
-from .kernel import AlphaParam
-from .problem import Coefficients, GridSpec, manufactured_case
-from .solver import SchemeKind, solve
+from .solver import SchemeKind
 
 __all__ = ["RunConfig", "main", "parse_args", "run"]
 
@@ -36,14 +35,17 @@ def _alpha_value(text: str) -> float:
 
 
 def _alpha_list(text: str) -> list[float]:
-    return [_alpha_value(part) for part in text.split(",") if part.strip()]
+    values = [_alpha_value(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} names no fractional order")
+    return values
 
 
 @dataclass(frozen=True)
 class RunConfig:
     command: str  # table1..table4 | single | properties
     alpha_list: tuple[float, ...]
-    scheme: SchemeKind
+    scheme: SchemeKind | None = None  # --single only; a table's spec picks its own
     output_path: str | None = None
     format: str = "csv"
     depth: int | None = None
@@ -73,7 +75,7 @@ def parse_args(argv: list[str]) -> RunConfig:
     parser.add_argument("--N", type=int, default=None, help="spatial subintervals")
     parser.add_argument("--M", type=int, default=None, help="time steps (--single)")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "md"), default="csv")
+    parser.add_argument("--format", choices=("csv", "md"), default=None, help="table format (default csv)")
     parser.add_argument("--jobs", type=int, default=None, help="worker processes for ladder rungs (default 1)")
     ns = parser.parse_args(argv)
 
@@ -82,8 +84,8 @@ def parse_args(argv: list[str]) -> RunConfig:
               if on]
     if len(chosen) != 1:
         parser.error("choose exactly one of --table, --properties, --single")
-    unused = {"table": ("scheme", "M"), "single": ("depth", "jobs"),
-              "properties": ("alpha", "N", "M", "depth", "scheme")}[chosen[0]]
+    unused = {"table": ("scheme", "M"), "single": ("depth", "jobs", "format"),
+              "properties": ("alpha", "N", "M", "depth", "scheme", "format")}[chosen[0]]
     given = [f"--{name}" for name in unused if getattr(ns, name) is not None]
     if given:
         parser.error(f"{', '.join(given)}: not used by --{chosen[0]}")
@@ -96,23 +98,20 @@ def parse_args(argv: list[str]) -> RunConfig:
     if ns.M is not None and ns.M < 1:
         parser.error("--M: need at least 1 time step")
 
-    scheme = SchemeKind.COMPACT4 if ns.scheme == "compact" else SchemeKind.ORDER2
     if ns.table is not None:
         alphas = tuple(ns.alpha) if ns.alpha else TABLE_ALPHAS[ns.table]
-        scheme = SchemeKind.ORDER2 if ns.table in (1, 2) else SchemeKind.COMPACT4
-        return RunConfig(command=f"table{ns.table}", alpha_list=alphas, scheme=scheme,
-                         output_path=ns.out, format=ns.format, depth=ns.depth,
-                         n_override=ns.N, jobs=ns.jobs or 1, table=ns.table)
+        return RunConfig(command=f"table{ns.table}", alpha_list=alphas, output_path=ns.out,
+                         format=ns.format or "csv", depth=ns.depth, n_override=ns.N,
+                         jobs=ns.jobs or 1, table=ns.table)
     if ns.single:
         if ns.N is None or ns.M is None or not ns.alpha:
             parser.error("--single needs --N, --M and --alpha")
         if len(ns.alpha) != 1:
             parser.error("--alpha: --single takes exactly one value")
+        scheme = SchemeKind.COMPACT4 if ns.scheme == "compact" else SchemeKind.ORDER2
         return RunConfig(command="single", alpha_list=tuple(ns.alpha), scheme=scheme,
-                         output_path=ns.out, format=ns.format,
-                         n_override=ns.N, m_steps=ns.M)
-    return RunConfig(command="properties", alpha_list=(), scheme=scheme,
-                     output_path=ns.out, format=ns.format)
+                         output_path=ns.out, n_override=ns.N, m_steps=ns.M)
+    return RunConfig(command="properties", alpha_list=(), output_path=ns.out)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -134,14 +133,10 @@ def _run_table(config: RunConfig) -> int:
 
 
 def _run_single(config: RunConfig) -> int:
-    alpha = AlphaParam(config.alpha_list[0])
-    variant = Coefficients.TIME_ONLY if config.scheme is SchemeKind.COMPACT4 else Coefficients.VARIABLE_XT
-    case = manufactured_case(alpha, variant)
-    grid = GridSpec(N=config.n_override, M=config.m_steps)
-    history = solve(case.problem, grid, alpha, config.scheme)
-    report = measure_errors(history, case.u_exact)
+    alpha = config.alpha_list[0]
+    report = solve_manufactured(alpha, config.scheme, config.m_steps, config.n_override)
     _emit(
-        f"alpha={alpha.alpha} scheme={config.scheme.value} N={grid.N} M={grid.M} "
+        f"alpha={alpha} scheme={config.scheme.value} N={config.n_override} M={config.m_steps} "
         f"err_L2={sci6(report.err_L2)} err_C={sci6(report.err_C)} "
         f"err_grad={sci6(report.err_grad)}\n",
         config.output_path,

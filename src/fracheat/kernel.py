@@ -133,23 +133,16 @@ def _l2_weights(j: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """c_0..c_j at level j+1 (j >= 1) from a_0..a_j and b_0..b_j.
 
     Only the first j+1 entries of ``a`` and ``b`` are read, so one pair of
-    coefficient arrays serves every level up to its length.  The three case
-    splits (j = 1, j = 2, j >= 3) come out of regrouping the
-    piecewise-quadratic interpolation integrals.
+    coefficient arrays serves every level up to its length.  One rule holds
+    for every j >= 1: c_0 = a_0 + b_0, c_s = a_s + b_s - b_{s-1} in the bulk,
+    c_{j-1} = a_{j-1} + b_{j-1} + b_j - b_{j-2} (no b_{j-2} term when j = 1)
+    and c_j = a_j - b_j - b_{j-1}.  Each entry is summed left to right in
+    that order, so the bits do not depend on which case a level falls in.
     """
-    c = np.empty(j + 1)
-    if j == 1:
-        c[0] = a[0] + b[0] + b[1]
-        c[1] = a[1] - b[1] - b[0]
-    elif j == 2:
-        c[0] = a[0] + b[0]
-        c[1] = a[1] + b[1] + b[2] - b[0]
-        c[2] = a[2] - b[2] - b[1]
-    else:
-        c[0] = a[0] + b[0]
-        c[1 : j - 1] = a[1 : j - 1] + b[1 : j - 1] - b[0 : j - 2]
-        c[j - 1] = a[j - 1] + b[j - 1] + b[j] - b[j - 2]
-        c[j] = a[j] - b[j] - b[j - 1]
+    c = a[: j + 1] + b[: j + 1]
+    c[1:] -= b[:j]
+    c[j - 1] = a[j - 1] + b[j - 1] + b[j] - (b[j - 2] if j > 1 else 0.0)
+    c[j] = a[j] - b[j] - b[j - 1]
     return c
 
 

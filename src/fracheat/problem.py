@@ -39,7 +39,11 @@ class Coefficients(str, enum.Enum):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform space-time grid: N spatial subintervals, M time steps."""
+    """Uniform space-time grid: N spatial subintervals, M time steps.
+
+    The grid is the only owner of the domain [0, length] x [0, horizon];
+    the problem data carry none.
+    """
 
     N: int
     M: int
@@ -81,8 +85,6 @@ class DiffusionProblem:
     q: Field
     f: Field
     u0: Callable[[np.ndarray], np.ndarray]
-    length: float = 1.0
-    horizon: float = 1.0
     c1_lower: float = 1.0
     coefficients: Coefficients = Coefficients.VARIABLE_XT
 
@@ -159,7 +161,5 @@ def manufactured_case(
     def u0(x):
         return np.sin(np.pi * np.asarray(x, dtype=float))
 
-    prob = DiffusionProblem(
-        k=k, q=q, f=f, u0=u0, length=1.0, horizon=1.0, c1_lower=1.0, coefficients=variant
-    )
+    prob = DiffusionProblem(k=k, q=q, f=f, u0=u0, c1_lower=1.0, coefficients=variant)
     return ManufacturedCase(u_exact=u_exact, caputo_u=caputo_u, problem=prob, alpha=alpha)

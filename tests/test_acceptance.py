@@ -131,8 +131,13 @@ def test_criterion_03_truncation_order_pinned_ladder():
     report(3, "truncation order on pinned ladder", ok, detail + f", {elapsed:.1f}s")
     # The error at fixed t behaves like C tau^(3-a) - D tau^3, so the observed
     # order climbs to 3-a only at O(tau^a) speed.  At alpha=0.1 this ladder
-    # tops out near 2.83 and double precision runs out of room before the
-    # band is reached (deeper ladders hit the rounding floor around 1/5120).
+    # tops out near 2.83.  The same formula summed in mpmath 1.3.0 at 40
+    # digits, on M = 20*2^k, gives the pairwise orders 2.7849, 2.8041,
+    # 2.8176, 2.8278 (the last pair here), 2.8361, 2.8430, 2.8488 and
+    # 2.8539: the first pair inside 2.9 +- 0.05 is M = 2560 -> 5120, five
+    # rungs deeper than this ladder.  Double precision still gives 2.8540
+    # there, but one rung further (5120 -> 10240) it reads 2.8520 against
+    # the exact 2.8582, so rounding takes over right after the band is hit.
     assert elapsed < 5.0
     assert all(dev <= 0.05 for _, dev in deviations.values()), detail
 

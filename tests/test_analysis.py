@@ -18,7 +18,7 @@ from fracheat import (
     run_experiment,
     solve,
 )
-from fracheat.analysis import sci6, tables_to_csv, tables_to_markdown
+from fracheat.analysis import sci6, solve_manufactured, tables_to_csv, tables_to_markdown
 from fracheat.baselines import (
     BASELINE_TABLE1,
     BASELINE_TABLE3,
@@ -76,11 +76,26 @@ def test_ladder_pairs_match_published_geometry():
     spec = experiment_spec(3, 0.9)
     assert spec.rungs == ((40, 13), (80, 19), (160, 29), (320, 41), (640, 59))
     assert spec.scheme is SchemeKind.COMPACT4
-    assert spec.variant is Coefficients.TIME_ONLY
     spec = experiment_spec(2, 0.3)
     assert spec.rungs == ((10, 5000), (20, 5000), (40, 5000), (80, 5000))
+    assert spec.scheme is SchemeKind.ORDER2
     spec = experiment_spec(4, 0.7)
     assert spec.rungs == ((10, 1000), (20, 1000), (40, 1000), (80, 1000), (160, 1000))
+    assert spec.scheme is SchemeKind.COMPACT4
+
+
+@pytest.mark.parametrize(
+    "scheme, variant",
+    [(SchemeKind.ORDER2, Coefficients.VARIABLE_XT), (SchemeKind.COMPACT4, Coefficients.TIME_ONLY)],
+)
+def test_solve_manufactured_picks_the_coefficient_pair_of_its_scheme(scheme, variant):
+    # order2 and the time-only pair give other errors than the x-dependent
+    # pair, and compact4 rejects the x-dependent pair, so only the right
+    # pair reproduces the direct solve bit for bit
+    alpha = AlphaParam(0.5)
+    case = manufactured_case(alpha, variant)
+    want = measure_errors(solve(case.problem, GridSpec(N=9, M=6), alpha, scheme), case.u_exact)
+    assert solve_manufactured(0.5, scheme, 6, 9) == want
 
 
 def test_ladder_fallback_rule_for_untabled_alpha():

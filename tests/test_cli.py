@@ -11,11 +11,9 @@ def test_parse_table_defaults():
     cfg = parse_args(["--table", "1"])
     assert cfg.command == "table1"
     assert cfg.alpha_list == (0.1, 0.5, 0.9)
-    assert cfg.scheme is SchemeKind.ORDER2
     assert cfg.format == "csv"
     cfg = parse_args(["--table", "4"])
     assert cfg.alpha_list == (0.3, 0.5, 0.7)
-    assert cfg.scheme is SchemeKind.COMPACT4
 
 
 def test_parse_table_with_alpha_list():
@@ -65,6 +63,10 @@ def test_parse_properties():
         ["--properties", "--M", "4"],
         ["--properties", "--depth", "2"],
         ["--properties", "--scheme", "order2"],
+        ["--single", "--N", "8", "--M", "4", "--alpha", "0.5", "--format", "md"],
+        ["--properties", "--format", "md"],
+        ["--table", "1", "--alpha", ","],
+        ["--table", "1", "--alpha", ""],
     ],
 )
 def test_configuration_errors_exit_2(argv, capsys):

@@ -75,14 +75,12 @@ def test_apply_lambda_size_mismatch():
 
 
 def test_compact_H_constant_passthrough():
-    grid = GridSpec(N=6, M=2)
     v = np.full(7, 2.5)
-    assert np.allclose(apply_compact_H(v, grid), v, rtol=1e-15)
+    assert np.allclose(apply_compact_H(v), v, rtol=1e-15)
 
 
 def test_compact_H_hand_value():
-    grid = GridSpec(N=2, M=2)
-    out = apply_compact_H(np.array([0.0, 1.0, 0.0]), grid)
+    out = apply_compact_H(np.array([0.0, 1.0, 0.0]))
     assert out[1] == pytest.approx(5.0 / 6.0, rel=1e-15)
     assert out[0] == 0.0 and out[2] == 0.0
 
@@ -94,7 +92,7 @@ def test_compact_H_norm_equivalence():
         v = rng.standard_normal(51)
         v[0] = v[-1] = 0.0
         n2 = norm_L2(v, grid.h) ** 2
-        h2 = norm_L2(apply_compact_H(v, grid), grid.h) ** 2
+        h2 = norm_L2(apply_compact_H(v), grid.h) ** 2
         assert 5.0 / 12.0 * n2 <= h2 <= n2 * (1.0 + 1e-14)
 
 
@@ -314,6 +312,33 @@ def test_history_by_parts_matches_difference_form(j):
             assert np.max(np.abs(_history(w, mass, j) - diff_form)) <= bound
 
 
+def _reference_l2_weights(j, a, b):
+    """The original weight rule, split into the cases j = 1, j = 2 and j >= 3."""
+    c = np.empty(j + 1)
+    if j == 1:
+        c[0] = a[0] + b[0] + b[1]
+        c[1] = a[1] - b[1] - b[0]
+    elif j == 2:
+        c[0] = a[0] + b[0]
+        c[1] = a[1] + b[1] + b[2] - b[0]
+        c[2] = a[2] - b[2] - b[1]
+    else:
+        c[0] = a[0] + b[0]
+        c[1 : j - 1] = a[1 : j - 1] + b[1 : j - 1] - b[0 : j - 2]
+        c[j - 1] = a[j - 1] + b[j - 1] + b[j] - b[j - 2]
+        c[j] = a[j] - b[j] - b[j - 1]
+    return c
+
+
+def test_l2_weights_match_three_branch_rule_bit_for_bit():
+    idx = np.arange(2001)
+    for a in (0.1, 0.5, 0.9):
+        alpha = AlphaParam(a)
+        av, bv = a_coeff(idx, alpha), b_coeff(idx, alpha)
+        for j in range(1, 2001):
+            assert _l2_weights(j, av, bv).tobytes() == _reference_l2_weights(j, av, bv).tobytes(), (a, j)
+
+
 def _hand_history(c, m, j):
     """c_0 m^j - sum_{s=0}^{j-1} c_{j-s} (m^{s+1} - m^s), written out term by term."""
     return c[0] * m[j] - sum(c[j - s] * (m[s + 1] - m[s]) for s in range(j))
@@ -322,7 +347,7 @@ def _hand_history(c, m, j):
 def test_step_order2_scalar_oracle():
     # N=2 has one interior unknown; the implicit equation collapses to a
     # scalar relation solvable by hand.  Levels j = 1, 2, 3 of an M=4 solve
-    # cover the j=1, j=2 and j>=3 weight branches.
+    # cover the j=1, j=2 and j>=3 cases of the weight rule.
     alpha = AlphaParam(0.6)
     case = manufactured_case(alpha)
     grid = GridSpec(N=2, M=4)
@@ -504,6 +529,6 @@ def test_solve_compact_single_step_grid():
     x = grid.x_nodes()
     rho = 1.0 / alpha.gamma_2ma
     k, q = 2.0 - math.cos(1.0), 1.0 - math.sin(1.0)
-    lhs = apply_compact_H(rho * (y1 - y0) + q * y1 - case.problem.f(x, 1.0), grid)[1:-1]
+    lhs = apply_compact_H(rho * (y1 - y0) + q * y1 - case.problem.f(x, 1.0))[1:-1]
     rhs = k * (y1[2:] - 2.0 * y1[1:-1] + y1[:-2]) / grid.h**2
     assert np.max(np.abs(lhs - rhs)) < 1e-13 * np.max(np.abs(y1)) / grid.h**2
