@@ -135,14 +135,21 @@ def experiment_spec(
     depth: int | None = None,
     n_override: int | None = None,
 ) -> ExperimentSpec:
-    """Ladder definition for one of the built-in experiment protocols."""
+    """Ladder definition for one of the built-in experiment protocols.
+
+    ``depth`` defaults to the tabulated ladder, or 5 rungs for an order the
+    table does not list.
+    """
     if table not in (1, 2, 3, 4):
         raise ValueError(f"unknown table {table}")
+    if depth is not None and depth < 1:
+        raise ValueError(f"ladder depth must be >= 1, got {depth}")
     scheme = SchemeKind.ORDER2 if table in (1, 2) else SchemeKind.COMPACT4
     if table in (1, 3):
         pairs = (_TABLE1_PAIRS if table == 1 else _TABLE3_PAIRS).get(alpha, [])
         base_m = 10 if table == 1 else 40
-        depth = len(pairs) if depth is None and pairs else (depth or 5)
+        if depth is None:
+            depth = len(pairs) if pairs else 5
         rungs = []
         for r in range(depth):
             m_steps = base_m * 2**r

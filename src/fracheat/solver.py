@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .kernel import AlphaParam, _l2_weights, a_coeff, b_coeff
 from .problem import Coefficients, DiffusionProblem, GridSpec
@@ -66,12 +67,59 @@ class TridiagonalSystem:
 
 
 def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
-    """Forward elimination / back substitution for a tridiagonal system.
+    """Solve a tridiagonal system by Thomas elimination, run inside LAPACK.
 
-    Raises on a (near-)zero pivot, which for the systems assembled here
-    signals loss of diagonal dominance rather than an expected state.  The
-    sweep runs unchecked and the pivots are checked after it; an exact zero
-    stops it early.  Either way the error names the first offending row.
+    The Thomas sweep is Crout elimination on A: c_i = u_i / p_i,
+    p_{i+1} = d_{i+1} - l_i c_i, g_i = (r_i - l_{i-1} g_{i-1}) / p_i, then
+    x_i = g_i - c_i x_{i+1}.  That is Doolittle elimination on the transposed
+    matrix, so ``dgttrf`` on A^T (sub- and super-diagonal swapped) followed by
+    ``dgttrs(trans="T")`` performs the same floating-point operations in the
+    same order, and gives the sweep's result bit for bit, when dgttrf swaps
+    no rows.  dgttrs adds one term, ``- 0 * g_{i-2}``, which can only change
+    the sign of a zero.  So the row-by-row sweep, ``_thomas_loop``, still runs
+    when LAPACK cannot repeat it:
+
+    * n <= 2: scipy's f2py wrapper of dgttrf rejects those sizes, since the
+      second super-diagonal it returns would have n - 2 <= 0 entries;
+    * any row interchange, which dgttrf makes where |p_i| < |u_i|; the sweep
+      never swaps rows;
+    * a zero or non-finite entry in the solution, the only places where the
+      extra term can show: a signed zero, or 0 * inf = nan.
+
+    The assembled matrices of both schemes are diagonally dominant, so they
+    take none of these paths.  dgttrf's diagonal holds exactly the sweep's
+    pivots, and they are checked before the solve: a (near-)zero pivot, which
+    for the systems assembled here signals loss of diagonal dominance rather
+    than an expected state, raises naming the first offending row.
+    """
+    n = sys.diag.size
+    if n <= 2:
+        return _thomas_loop(sys)
+    c, p, l, l2, ipiv, _ = lapack.dgttrf(sys.upper, sys.diag, sys.lower)
+    if not np.array_equal(ipiv, np.arange(1, n + 1)):
+        return _thomas_loop(sys)
+    _check_pivots(p, sys.diag)
+    x, _ = lapack.dgttrs(c, p, l, l2, ipiv, sys.rhs, trans="T")
+    if not (np.isfinite(x).all() and x.all()):
+        return _thomas_loop(sys)
+    return x
+
+
+def _check_pivots(pivots: np.ndarray | list[float], diag: np.ndarray, stop: int | None = None) -> None:
+    """Raise on the first pivot within 1e-15 of the largest |diag|, else at
+    row ``stop``, where an exact zero pivot ended the sweep."""
+    small = np.flatnonzero(np.abs(pivots) <= 1e-300 + 1e-15 * np.max(np.abs(diag)))
+    row = small[0] if small.size else stop
+    if row is not None:
+        raise ZeroDivisionError(f"zero pivot in tridiagonal elimination (row {row})")
+
+
+def _thomas_loop(sys: TridiagonalSystem) -> np.ndarray:
+    """The Thomas sweep row by row in Python, the path for systems LAPACK
+    cannot solve with the same operations (see ``thomas_solve``).
+
+    The sweep runs unchecked and the pivots are checked after it; an exact
+    zero stops it early.  Either way the error names the first offending row.
     """
     n = sys.diag.size
     ps: list[float] = []
@@ -89,10 +137,7 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
             gs.append(g)
     except ZeroDivisionError:  # an exact zero pivot, the last entry of ps
         pass
-    small = np.flatnonzero(np.abs(ps) <= 1e-300 + 1e-15 * np.max(np.abs(sys.diag)))
-    if small.size or len(gs) < n:
-        row = small[0] if small.size else len(gs)
-        raise ZeroDivisionError(f"zero pivot in tridiagonal elimination (row {row})")
+    _check_pivots(ps, sys.diag, len(gs) if len(gs) < n else None)
     x = [gs[-1]]
     for c, g in zip(cs[-2::-1], gs[-2::-1]):
         x.append(g - c * x[-1])
@@ -194,8 +239,9 @@ def _advance(
     (rho w_0 + q) H - k D2, whose entries are constant since k = k(t),
     q = q(t).  f, k and q come from ``_evaluate``, once per level.  Kept as
     its own call so that each level's temporaries are freed before the next
-    one is built.  The node array x is built once per level and held for
-    it; at N = 50000 that costs one 400 KB array of peak RSS.
+    one is built.  The solve looks up the module-level ``thomas_solve`` at
+    each call, so a wrapper put there (a profiler's span, a test's reference
+    sweep) sees every solve.
     """
     hist = _history(w, mass, j)
     x = grid.x_nodes()

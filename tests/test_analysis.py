@@ -176,3 +176,12 @@ def test_ladder_extends_past_tabulated_depth():
     assert n_sub == math.floor(320 ** 1.25)
     spec = experiment_spec(2, 0.5, depth=5)
     assert spec.rungs[4] == (160, 5000)
+
+
+@pytest.mark.parametrize("table", (1, 2, 3, 4))
+@pytest.mark.parametrize("depth", (0, -1))
+def test_ladder_rejects_depth_below_one(table, depth):
+    # a ladder needs at least one rung; 0 used to fall back to 5 rungs on
+    # tables 1 and 3 and give an empty ladder on tables 2 and 4
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        experiment_spec(table, 0.5, depth=depth)

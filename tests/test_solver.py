@@ -22,6 +22,7 @@ from fracheat import (
     solve,
     thomas_solve,
 )
+import fracheat.solver as solver_module
 from fracheat.kernel import _l2_weights, a_coeff, b_coeff
 from fracheat.solver import _history
 
@@ -234,6 +235,51 @@ def test_thomas_matches_reference_loop_bit_for_bit():
             assert got.tobytes() == want.tobytes()
         kinds["solved" if not isinstance(want, str) else kind] += 1
     assert min(kinds.values()) > 0, kinds
+
+
+def _reference_thomas_system(sys):
+    return _reference_thomas(sys.lower.tolist(), sys.diag.tolist(), sys.upper.tolist(), sys.rhs.tolist())
+
+
+@pytest.mark.parametrize("log_ratio", range(-10, 1, 2))
+def test_thomas_on_scheme_shaped_systems_matches_reference_without_fallback(log_ratio, monkeypatch):
+    # the systems both schemes assemble: symmetric, diag = e + (a_i + a_{i+1})/h^2,
+    # off = -a_{i+1}/h^2, with row excess e a fraction 10^log_ratio of the
+    # diagonal (1 means a = 0); LAPACK must solve all of them itself
+    ratio = 10.0**log_ratio
+    fallbacks = []
+    loop = solver_module._thomas_loop
+
+    def counted_loop(sys):
+        fallbacks.append(sys.diag.size)
+        return loop(sys)
+
+    monkeypatch.setattr(solver_module, "_thomas_loop", counted_loop)
+    rng = np.random.default_rng(-log_ratio)
+    for n in (3, 4, 17, 1000, 49999):
+        h2 = (1.0 / (n + 1)) ** 2
+        a_half = rng.uniform(1.0, 3.0, n + 1) * (ratio < 1.0)
+        coupling = (a_half[1:] + a_half[:-1]) / h2
+        excess = coupling * ratio / (1.0 - ratio) if ratio < 1.0 else rng.uniform(0.5, 2.0, n)
+        off = -a_half[1:-1] / h2
+        rhs = rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0)
+        sys = TridiagonalSystem(lower=off, diag=excess + coupling, upper=off, rhs=rhs)
+        assert thomas_solve(sys).tobytes() == _reference_thomas_system(sys).tobytes()
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+@pytest.mark.parametrize("alpha", (0.3, 0.7))
+@pytest.mark.parametrize(("n_sub", "m_steps"), ((24, 12), (20000, 3)))
+def test_solve_layers_match_reference_thomas_bit_for_bit(scheme, alpha, n_sub, m_steps, monkeypatch):
+    # guards the LAPACK path against builds that fuse p - l*c into one FMA
+    variant = Coefficients.TIME_ONLY if scheme is SchemeKind.COMPACT4 else Coefficients.VARIABLE_XT
+    case = manufactured_case(AlphaParam(alpha), variant)
+    grid = GridSpec(N=n_sub, M=m_steps)
+    got = solve(case.problem, grid, case.alpha, scheme).layers
+    monkeypatch.setattr(solver_module, "thomas_solve", _reference_thomas_system)
+    want = solve(case.problem, grid, case.alpha, scheme).layers
+    assert got.tobytes() == want.tobytes()
 
 
 def test_tridiagonal_shape_validation():
