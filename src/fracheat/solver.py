@@ -224,6 +224,7 @@ def _history(w: np.ndarray, mass: np.ndarray, j: int) -> np.ndarray:
 def _advance(
     problem: DiffusionProblem,
     grid: GridSpec,
+    nodes: tuple[np.ndarray, np.ndarray],
     mass: np.ndarray,
     j: int,
     t_new: float,
@@ -237,16 +238,17 @@ def _advance(
     hist = w_0 m^j - sum_{s=0}^{j-1} w_{j-s} (m^{s+1} - m^s).  For order2
     the implicit matrix is rho w_0 I - Lambda(t_new); for compact4 it is
     (rho w_0 + q) H - k D2, whose entries are constant since k = k(t),
-    q = q(t).  f, k and q come from ``_evaluate``, once per level.  Kept as
-    its own call so that each level's temporaries are freed before the next
-    one is built.  The solve looks up the module-level ``thomas_solve`` at
-    each call, so a wrapper put there (a profiler's span, a test's reference
-    sweep) sees every solve.
+    q = q(t).  f, k and q come from ``_evaluate``, once per level, at
+    ``nodes`` = (x_i, x_{i-1/2}), which ``_march`` builds once for all its
+    levels.  Kept as its own call so that each level's temporaries are freed
+    before the next one is built.  The solve looks up the module-level
+    ``thomas_solve`` at each call, so a wrapper put there (a profiler's span,
+    a test's reference sweep) sees every solve.
     """
     hist = _history(w, mass, j)
-    x = grid.x_nodes()
+    x, x_half = nodes
     phi = _evaluate(problem, "f", x, t_new)
-    a_half = _evaluate(problem, "k", grid.x_half_nodes(), t_new)
+    a_half = _evaluate(problem, "k", x_half, t_new)
     d = _evaluate(problem, "q", x, t_new)[1:-1]
     h2 = grid.h * grid.h
     coef = rho * w[0]
@@ -279,15 +281,20 @@ def _march(
 
     ``weights(j)`` gives the weight vector of level j.  The mass layers are
     ``layers`` itself for order2 and H applied once to each layer for compact4.
+    The node arrays are read-only, so a field that writes to its x fails
+    instead of moving the nodes of later levels.
     """
     rho = tau ** (-alpha.alpha) / alpha.gamma_2ma
+    nodes = (grid.x_nodes(), grid.x_half_nodes())
+    for x in nodes:
+        x.flags.writeable = False
     mass = layers
     if compact:
         mass = np.zeros_like(layers)
         for s in range(first + 1):
             mass[s] = apply_compact_H(layers[s])
     for j in range(first, layers.shape[0] - 1):
-        layers[j + 1] = _advance(problem, grid, mass, j, (j + 1) * tau, rho, weights(j), compact)
+        layers[j + 1] = _advance(problem, grid, nodes, mass, j, (j + 1) * tau, rho, weights(j), compact)
         if compact:
             mass[j + 1] = apply_compact_H(layers[j + 1])
 

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -248,3 +250,153 @@ def test_a_poisoned_node_is_named_by_field_t_and_x(data, scheme, alpha, n_sub, m
         solve(_with(base, **{name: poisoned}), grid, alpha, scheme)
     assert str(err.value).startswith(f"{name} ")
     assert str(err.value).endswith(f" at t={t_bad}, x={nodes[i_bad]}")
+
+
+def _reference_manufactured_case(alpha, variant):
+    """The manufactured case's fields evaluated plainly, with no memo: the oracle."""
+    a = alpha.alpha
+    caputo_c3 = math.gamma(4.0 + a) / 6.0
+    caputo_c2 = 2.0 / math.gamma(3.0 - a)
+
+    def g(t):
+        return t ** (3.0 + a) + t * t + 1.0
+
+    def u_exact(x, t):
+        return np.sin(np.pi * x) * g(t)
+
+    def caputo_u(x, t):
+        return np.sin(np.pi * x) * (caputo_c3 * t**3 + caputo_c2 * t ** (2.0 - a))
+
+    if variant is Coefficients.VARIABLE_XT:
+
+        def k(x, t):
+            return 2.0 - np.cos(np.asarray(x) * t)
+
+        def k_x(x, t):
+            return t * np.sin(np.asarray(x) * t)
+
+        def q(x, t):
+            return 1.0 - np.sin(np.asarray(x) * t)
+
+    else:
+
+        def k(x, t):
+            return (2.0 - np.cos(t)) * np.ones_like(np.asarray(x, dtype=float))
+
+        def k_x(x, t):
+            return np.zeros_like(np.asarray(x, dtype=float))
+
+        def q(x, t):
+            return (1.0 - np.sin(t)) * np.ones_like(np.asarray(x, dtype=float))
+
+    def f(x, t):
+        x = np.asarray(x, dtype=float)
+        sin_px = np.sin(np.pi * x)
+        u = sin_px * g(t)
+        u_x = np.pi * np.cos(np.pi * x) * g(t)
+        u_xx = -np.pi * np.pi * u
+        spatial = k_x(x, t) * u_x + k(x, t) * u_xx - q(x, t) * u
+        return caputo_u(x, t) - spatial
+
+    def u0(x):
+        return np.sin(np.pi * np.asarray(x, dtype=float))
+
+    return {"f": f, "k": k, "q": q, "u0": u0, "u_exact": u_exact, "caputo_u": caputo_u}
+
+
+def _case_fields(case):
+    p = case.problem
+    return {"f": p.f, "k": p.k, "q": p.q, "u0": p.u0, "u_exact": case.u_exact, "caputo_u": case.caputo_u}
+
+
+def _call(fields, name, x, t):
+    return np.asarray(fields[name](x) if name == "u0" else fields[name](x, t)).tobytes()
+
+
+def _call_sequence(fields):
+    """Every field over a sequence of calls that a memo could answer wrongly,
+    as bytes: nodes and half-nodes in turn, an array of another size, each t
+    twice in a row, 0.0 and -0.0 at equal values, a 0-d array, and one
+    array object changed in place between two calls with the same t.  The
+    field order alternates, so q comes both before and after f at the same
+    x and t."""
+    grid = GridSpec(N=40, M=8)
+    nodes, half, other = grid.x_nodes(), grid.x_half_nodes(), np.linspace(0.0, 1.0, 17)
+    plus_zero, minus_zero = np.array([0.0, 0.25, 1.0]), np.array([-0.0, 0.25, 1.0])
+    moving = nodes.copy()
+    names = ["f", "q", "k", "u_exact", "caputo_u", "u0"]
+    out = []
+    for t in (0.0, 0.125, 0.125, 0.5, 0.5, 1.0):
+        for x in (nodes, half, nodes, other, plus_zero, minus_zero, np.array(0.3), moving, moving):
+            names.reverse()
+            out += [_call(fields, name, x, t) for name in names]
+            if x is moving:
+                moving *= 0.75
+    return out
+
+
+@pytest.mark.parametrize("variant", list(Coefficients))
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_manufactured_fields_are_bit_for_bit_plain_evaluation(alpha, variant):
+    alpha = AlphaParam(alpha)
+    want = _call_sequence(_reference_manufactured_case(alpha, variant))
+    got = _call_sequence(_case_fields(manufactured_case(alpha, variant)))
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"call {i} differs from plain evaluation"
+
+
+@pytest.mark.parametrize("variant", list(Coefficients))
+def test_changing_a_returned_array_leaves_later_results_alone(variant):
+    alpha = AlphaParam(0.5)
+    fields = _case_fields(manufactured_case(alpha, variant))
+    oracle = _reference_manufactured_case(alpha, variant)
+    x, t = GridSpec(N=16, M=4).x_nodes(), 0.25
+    for name in ("f", "q", "u_exact", "caputo_u"):
+        fields[name](x, t)[:] = 7.0
+        assert _call(fields, name, x, t) == _call(oracle, name, x, t), name
+    for name in ("f", "q", "u_exact", "caputo_u"):
+        assert _call(fields, name, x, t) == _call(oracle, name, x, t), name
+
+
+@pytest.mark.parametrize("variant", list(Coefficients))
+def test_threads_sharing_a_case_each_get_plain_results(variant):
+    alpha = AlphaParam(0.3)
+    fields = _case_fields(manufactured_case(alpha, variant))
+    oracle = _reference_manufactured_case(alpha, variant)
+    jobs = [(GridSpec(N=500 + 7 * i, M=4).x_nodes(), 0.1 + 0.2 * i) for i in range(4)]
+    start = threading.Barrier(len(jobs), timeout=30)
+    wrong, done = [], []
+
+    def work(x, t):
+        want = {name: _call(oracle, name, x, t) for name in ("f", "q", "u_exact", "caputo_u")}
+        start.wait()
+        for _ in range(150):
+            for name, w in want.items():
+                if _call(fields, name, x, t) != w:
+                    wrong.append((name, t))
+        done.append(t)
+
+    threads = [threading.Thread(target=work, args=job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and len(done) == len(jobs)
+    assert not wrong, f"{len(wrong)} results differ, first {wrong[0]}"
+
+
+def test_a_field_that_writes_to_its_nodes_is_stopped():
+    base = manufactured_case(ALPHA).problem
+
+    def k_in_place(x, t):
+        x *= 1.0
+        return base.k(x, t)
+
+    with pytest.raises(ValueError, match="read-only"):
+        solve(_with(base, k=k_in_place), GRID, ALPHA)
