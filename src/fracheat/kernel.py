@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -129,21 +130,73 @@ def b_coeff(l, alpha: AlphaParam):
     return float(out) if np.isscalar(l) or np.ndim(l) == 0 else out
 
 
+def _l2_bulk(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The bulk L2 weights c_0 = a_0 + b_0 and c_s = a_s + b_s - b_{s-1}, one per entry of a and b.
+
+    Each entry is summed left to right from its own index and the one before,
+    so its bits are the same at every level it serves.
+    """
+    c = a + b
+    c[1:] -= b[:-1]
+    return c
+
+
+def _l2_ends(j: int, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """c_{j-1} and c_j at level j+1 (j >= 1), the two weights that differ from the bulk rule.
+
+    c_{j-1} = a_{j-1} + b_{j-1} + b_j - b_{j-2} (no b_{j-2} term when j = 1)
+    and c_j = a_j - b_j - b_{j-1}, each summed left to right in that order.
+    """
+    return a[j - 1] + b[j - 1] + b[j] - (b[j - 2] if j > 1 else 0.0), a[j] - b[j] - b[j - 1]
+
+
 def _l2_weights(j: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """c_0..c_j at level j+1 (j >= 1) from a_0..a_j and b_0..b_j.
 
     Only the first j+1 entries of ``a`` and ``b`` are read, so one pair of
     coefficient arrays serves every level up to its length.  One rule holds
-    for every j >= 1: c_0 = a_0 + b_0, c_s = a_s + b_s - b_{s-1} in the bulk,
-    c_{j-1} = a_{j-1} + b_{j-1} + b_j - b_{j-2} (no b_{j-2} term when j = 1)
-    and c_j = a_j - b_j - b_{j-1}.  Each entry is summed left to right in
-    that order, so the bits do not depend on which case a level falls in.
+    for every j >= 1: the bulk rule (``_l2_bulk``) with its last two entries
+    replaced by ``_l2_ends``.  So the bits do not depend on which case a
+    level falls in.
     """
-    c = a[: j + 1] + b[: j + 1]
-    c[1:] -= b[:j]
-    c[j - 1] = a[j - 1] + b[j - 1] + b[j] - (b[j - 2] if j > 1 else 0.0)
-    c[j] = a[j] - b[j] - b[j - 1]
+    c = _l2_bulk(a[: j + 1], b[: j + 1])
+    c[j - 1], c[j] = _l2_ends(j, a, b)
     return c
+
+
+class _HistoryWeights:
+    """The weights of every level of one march, ready for the history sum.
+
+    Level j weighs the increments of the mass layers with w_0..w_j: the bulk
+    weights ``bulk`` with their last entries replaced by ``ends(j)`` (none for
+    the L1 weights a_s, ``_l2_ends`` for the L2 weights c_s).  Summed by
+    parts, the history w_0 m^j - sum_{s<j} w_{j-s} (m^{s+1} - m^s) is
+    sum_s kappa_s m^s with kappa_0 = w_j and kappa_s = w_{j-s} - w_{j-s+1},
+    the entries of np.diff(w[j::-1], prepend=0.0).  Past the replaced
+    entries, every kappa_s is a difference of two bulk weights, and those do
+    not depend on j.  So they are subtracted once, into one reversed table,
+    and each level copies its tail from one slice of it; only the first
+    len(ends(j)) + 1 entries are formed per level, by the same subtractions.
+    """
+
+    def __init__(self, bulk: np.ndarray, ends: Callable[[int], tuple] = lambda j: ()) -> None:
+        self._bulk = bulk
+        self._ends = ends
+        self._diffs = (bulk[:-1] - bulk[1:])[::-1].copy()  # w_s - w_{s+1}, last s first
+        self._kappa = np.empty(bulk.size)
+
+    def __call__(self, j: int) -> tuple[float, np.ndarray]:
+        """w_0 and kappa_0..kappa_j of level j; the next call overwrites kappa."""
+        ends = self._ends(j)
+        # w_{j+1-n}..w_j: the replaced weights and the bulk weight before them, if any
+        last = ends if j < len(ends) else (self._bulk[j - len(ends)], *ends)
+        n = len(last)
+        kappa = self._kappa[: j + 1]
+        kappa[0] = last[-1]
+        for s in range(1, n):
+            kappa[s] = last[-1 - s] - last[-s]
+        kappa[n:] = self._diffs[self._diffs.size - (j + 1 - n):]
+        return (last[0] if n > j else self._bulk[0]), kappa
 
 
 def c_weights(j: int, alpha: AlphaParam) -> np.ndarray:

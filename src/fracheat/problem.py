@@ -103,8 +103,8 @@ class ManufacturedCase:
 def _last_call(compute: Callable[[np.ndarray, float], object]) -> Callable[[np.ndarray, float], object]:
     """``compute(x, t)`` behind a one-entry memo, for float64 arrays x and float t.
 
-    A hit needs the bits of t and the shape and bits of x to equal those of
-    the last call; the memo keeps its own copy of x, so an array changed in
+    A hit needs the bits of t and the shape and bytes of x to equal those of
+    the last call; the memo keeps the bytes of x, so an array changed in
     place since then misses, and so does -0.0 where 0.0 was.  Any other x or
     t is computed afresh.  The entry is one tuple, replaced whole, so a
     thread sharing the memo reads the old entry or the new one, never a mix.
@@ -117,18 +117,18 @@ def _last_call(compute: Callable[[np.ndarray, float], object]) -> Callable[[np.n
         if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and isinstance(t, float)):
             return compute(x, t)
         t_bits = struct.pack("d", t)
+        x_bytes = x.tobytes()
         last = entry
-        same_x = (last is not None and last[1].shape == x.shape
-                  and np.array_equal(last[1].reshape(-1).view(np.int64), x.reshape(-1).view(np.int64)))
+        same_x = last is not None and last[1] == x.shape and last[2] == x_bytes
         if same_x and last[0] == t_bits:
-            return last[2]
+            return last[3]
         value = compute(x, t)
         for v in value if isinstance(value, tuple) else (value,):
             if isinstance(v, np.ndarray):
                 v.flags.writeable = False
-        # a new t at the same x keeps the copy of x: no new long-lived array
-        # per level to fragment the heap
-        entry = (t_bits, last[1] if same_x else x.copy(), value)
+        # a new t at the same x keeps the stored bytes: no new long-lived
+        # buffer per level to fragment the heap
+        entry = (t_bits, x.shape, last[2] if same_x else x_bytes, value)
         return value
 
     return lookup

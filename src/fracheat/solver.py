@@ -16,12 +16,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .kernel import AlphaParam, _l2_weights, a_coeff, b_coeff
+from .kernel import AlphaParam, _HistoryWeights, _l2_bulk, _l2_ends, a_coeff, b_coeff
 from .problem import Coefficients, DiffusionProblem, GridSpec
 
 __all__ = [
@@ -90,25 +89,36 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     take none of these paths.  dgttrf's diagonal holds exactly the sweep's
     pivots, and they are checked before the solve: a (near-)zero pivot, which
     for the systems assembled here signals loss of diagonal dominance rather
-    than an expected state, raises naming the first offending row.
+    than an expected state, raises naming the first offending row.  Both
+    checks are one reduction each: dgttrf sets ipiv[i] to i+1, or to i+2
+    where it swaps rows i and i+1, so the rows stay in place exactly when the
+    entries sum to n(n+1)/2; and the rows are searched only when the smallest
+    |pivot| is not clear of the floor.
     """
     n = sys.diag.size
     if n <= 2:
         return _thomas_loop(sys)
     c, p, l, l2, ipiv, _ = lapack.dgttrf(sys.upper, sys.diag, sys.lower)
-    if not np.array_equal(ipiv, np.arange(1, n + 1)):
+    if ipiv.sum() != n * (n + 1) // 2:
         return _thomas_loop(sys)
-    _check_pivots(p, sys.diag)
+    floor = _pivot_floor(sys.diag)
+    if not np.abs(p).min() > floor:
+        _check_pivots(p, floor)
     x, _ = lapack.dgttrs(c, p, l, l2, ipiv, sys.rhs, trans="T")
     if not (np.isfinite(x).all() and x.all()):
         return _thomas_loop(sys)
     return x
 
 
-def _check_pivots(pivots: np.ndarray | list[float], diag: np.ndarray, stop: int | None = None) -> None:
-    """Raise on the first pivot within 1e-15 of the largest |diag|, else at
+def _pivot_floor(diag: np.ndarray) -> float:
+    """|pivot| at or below this, 1e-15 of the largest |diag|, counts as zero."""
+    return 1e-300 + 1e-15 * np.abs(diag).max()
+
+
+def _check_pivots(pivots: np.ndarray | list[float], floor: float, stop: int | None = None) -> None:
+    """Raise on the first pivot at or below ``floor`` in magnitude, else at
     row ``stop``, where an exact zero pivot ended the sweep."""
-    small = np.flatnonzero(np.abs(pivots) <= 1e-300 + 1e-15 * np.max(np.abs(diag)))
+    small = np.flatnonzero(np.abs(pivots) <= floor)
     row = small[0] if small.size else stop
     if row is not None:
         raise ZeroDivisionError(f"zero pivot in tridiagonal elimination (row {row})")
@@ -137,7 +147,7 @@ def _thomas_loop(sys: TridiagonalSystem) -> np.ndarray:
             gs.append(g)
     except ZeroDivisionError:  # an exact zero pivot, the last entry of ps
         pass
-    _check_pivots(ps, sys.diag, len(gs) if len(gs) < n else None)
+    _check_pivots(ps, _pivot_floor(sys.diag), len(gs) if len(gs) < n else None)
     x = [gs[-1]]
     for c, g in zip(cs[-2::-1], gs[-2::-1]):
         x.append(g - c * x[-1])
@@ -149,18 +159,22 @@ def _evaluate(problem: DiffusionProblem, name: str, nodes: np.ndarray, t: float)
     what the analysis assumes: finite values, k >= c1 > 0, q >= 0, k and q
     constant in x if declared time-only, u0 zero at both ends.  Every value
     the solver uses comes through here; an error names the field, t and x.
+    The least and the greatest value decide every check but the u0 one: a
+    NaN anywhere makes both NaN, an infinity shows in one of them, and their
+    difference is np.ptp.  The node is searched for only when a check fails.
     """
     v = np.asarray(problem.u0(nodes) if name == "u0" else getattr(problem, name)(nodes, t), dtype=float)
     if v.shape != nodes.shape:
         raise ValueError(f"{name} has shape {v.shape}, not {nodes.shape}, at t={t}, x={nodes[0]}..{nodes[-1]}")
+    lo, hi = np.minimum.reduce(v), np.maximum.reduce(v)
     bad = None  # an array whose argmax is the offending node
-    if not np.isfinite(v).all():
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         what, bad = f"{name} is not finite", ~np.isfinite(v)
-    elif name == "k" and v.min() < problem.c1_lower - 1e-12:
+    elif name == "k" and lo < problem.c1_lower - 1e-12:
         what, bad = f"k drops below c1={problem.c1_lower}", v < problem.c1_lower - 1e-12
-    elif name == "q" and v.min() < -1e-12:
+    elif name == "q" and lo < -1e-12:
         what, bad = "q is negative", v < -1e-12
-    elif name in ("k", "q") and problem.coefficients is Coefficients.TIME_ONLY and np.ptp(v) > 1e-12:
+    elif name in ("k", "q") and problem.coefficients is Coefficients.TIME_ONLY and hi - lo > 1e-12:
         what, bad = f"coefficients declared time-only but {name} varies in x", np.abs(v - v[0])
     elif name == "u0" and max(abs(v[0]), abs(v[-1])) > 1e-12:
         what, bad = "u0 must vanish at both boundaries", np.r_[abs(v[0]), np.zeros(v.size - 2), abs(v[-1])]
@@ -193,11 +207,17 @@ def apply_compact_H(v: np.ndarray) -> np.ndarray:
     """Fourth-order averaging operator, v_i + (v_{i+1} - 2 v_i + v_{i-1})/12.
 
     Endpoints pass through unchanged; downstream they only ever multiply
-    homogeneous boundary values.
+    homogeneous boundary values.  The second difference is built in place
+    by the same operations in the same order, as v_{i+1} + (-2 v_i), which
+    IEEE arithmetic rounds exactly as v_{i+1} - 2 v_i.
     """
     v = np.asarray(v, dtype=float)
     out = v.copy()
-    out[1:-1] += (v[2:] - 2.0 * v[1:-1] + v[:-2]) / 12.0
+    d2 = v[1:-1] * -2.0
+    d2 += v[2:]
+    d2 += v[:-2]
+    d2 /= 12.0
+    out[1:-1] += d2
     return out
 
 
@@ -210,48 +230,43 @@ class SolutionHistory:
     grid: GridSpec
 
 
-def _history(w: np.ndarray, mass: np.ndarray, j: int) -> np.ndarray:
-    """w_0 m^j - sum_{s=0}^{j-1} w_{j-s} (m^{s+1} - m^s), summed by parts.
-
-    The sum equals sum_{s=0}^{j} kappa_s m^s with kappa_0 = w_j,
-    kappa_s = w_{j-s} - w_{j-s+1} and kappa_j = w_0 - w_1 (kappa_0 = w_0
-    when j = 0): one matrix-vector product over the contiguous mass layers
-    0..j, with no temporary the size of the history.
-    """
-    return np.diff(w[j::-1], prepend=0.0) @ mass[: j + 1]
-
-
 def _advance(
     problem: DiffusionProblem,
     grid: GridSpec,
     nodes: tuple[np.ndarray, np.ndarray],
+    layers: np.ndarray,
     mass: np.ndarray,
     j: int,
     t_new: float,
     rho: float,
-    w: np.ndarray,
+    weights: _HistoryWeights,
     compact: bool,
-) -> np.ndarray:
-    """Layer j+1 from the mass layers 0..j and the level weights w_0..w_j.
+) -> None:
+    """Write the interior of layer j+1 from the mass layers 0..j.
 
     The time derivative at t_new is rho * (w_0 m^{j+1} - hist) with
-    hist = w_0 m^j - sum_{s=0}^{j-1} w_{j-s} (m^{s+1} - m^s).  For order2
-    the implicit matrix is rho w_0 I - Lambda(t_new); for compact4 it is
-    (rho w_0 + q) H - k D2, whose entries are constant since k = k(t),
-    q = q(t).  f, k and q come from ``_evaluate``, once per level, at
-    ``nodes`` = (x_i, x_{i-1/2}), which ``_march`` builds once for all its
-    levels.  Kept as its own call so that each level's temporaries are freed
-    before the next one is built.  The solve looks up the module-level
-    ``thomas_solve`` at each call, so a wrapper put there (a profiler's span,
-    a test's reference sweep) sees every solve.
+    hist = w_0 m^j - sum_{s=0}^{j-1} w_{j-s} (m^{s+1} - m^s), summed by parts
+    as one matrix-vector product of the level's kappa (see
+    ``_HistoryWeights``) with the contiguous mass layers 0..j, with no
+    temporary the size of the history.  For order2 the implicit matrix is
+    rho w_0 I - Lambda(t_new); for compact4 it is (rho w_0 + q) H - k D2,
+    whose entries are constant since k = k(t), q = q(t).  f, k and q come
+    from ``_evaluate``, once per level, at ``nodes`` = (x_i, x_{i-1/2}),
+    which ``_march`` builds once for all its levels.  The system is built in
+    place, by the same operations in the same order as the plain
+    expressions, so the bits are theirs.  Kept as its own call so that each
+    level's temporaries are freed before the next one is built.  The solve
+    looks up the module-level ``thomas_solve`` at each call, so a wrapper put
+    there (a profiler's span, a test's reference sweep) sees every solve.
     """
-    hist = _history(w, mass, j)
+    w0, kappa = weights(j)
+    rhs = (kappa @ mass[: j + 1])[1:-1]
     x, x_half = nodes
     phi = _evaluate(problem, "f", x, t_new)
     a_half = _evaluate(problem, "k", x_half, t_new)
     d = _evaluate(problem, "q", x, t_new)[1:-1]
     h2 = grid.h * grid.h
-    coef = rho * w[0]
+    coef = rho * w0
     if compact:
         phi = apply_compact_H(phi)
         wd = coef + d[0]
@@ -259,12 +274,14 @@ def _advance(
         diag = np.full(grid.N - 1, wd * 10.0 / 12.0 + 2.0 * a / h2)
         off = np.full(grid.N - 2, wd / 12.0 - a / h2)
     else:
-        diag = coef + (a_half[1:] + a_half[:-1]) / h2 + d
-        off = -a_half[1:-1] / h2
-    rhs = phi[1:-1] + rho * hist[1:-1]
-    y = np.zeros(grid.N + 1)
-    y[1:-1] = thomas_solve(TridiagonalSystem(lower=off, diag=diag, upper=off, rhs=rhs))
-    return y
+        diag = a_half[1:] + a_half[:-1]  # coef + (a_{i+1} + a_i) / h2 + d_i
+        diag /= h2
+        diag += coef
+        diag += d
+        off = a_half[1:-1] / -h2
+    rhs *= rho  # phi + rho * hist
+    rhs += phi[1:-1]
+    layers[j + 1, 1:-1] = thomas_solve(TridiagonalSystem(lower=off, diag=diag, upper=off, rhs=rhs))
 
 
 def _march(
@@ -274,12 +291,13 @@ def _march(
     first: int,
     tau: float,
     alpha: AlphaParam,
-    weights: Callable[[int], np.ndarray],
+    weights: _HistoryWeights,
     compact: bool,
 ) -> None:
-    """Fill layers[first+1:] in place at time step tau from layers[:first+1].
+    """Fill the interiors of layers[first+1:] in place at time step tau from
+    layers[:first+1]; their boundary entries stay as they are, zero.
 
-    ``weights(j)`` gives the weight vector of level j.  The mass layers are
+    ``weights`` gives the weights of each level.  The mass layers are
     ``layers`` itself for order2 and H applied once to each layer for compact4.
     The node arrays are read-only, so a field that writes to its x fails
     instead of moving the nodes of later levels.
@@ -294,7 +312,7 @@ def _march(
         for s in range(first + 1):
             mass[s] = apply_compact_H(layers[s])
     for j in range(first, layers.shape[0] - 1):
-        layers[j + 1] = _advance(problem, grid, nodes, mass, j, (j + 1) * tau, rho, weights(j), compact)
+        _advance(problem, grid, nodes, layers, mass, j, (j + 1) * tau, rho, weights, compact)
         if compact:
             mass[j + 1] = apply_compact_H(layers[j + 1])
 
@@ -322,12 +340,13 @@ def solve(
     m1 = max(1, math.ceil((1.0 / grid.tau) ** (1.0 / (2.0 - alpha.alpha))))
     sub = np.zeros((m1 + 1, grid.N + 1))
     sub[0] = layers[0]
-    a_l1 = a_coeff(np.arange(m1), alpha)
-    _march(problem, grid, sub, 0, grid.tau / m1, alpha, lambda j: a_l1, compact)
+    l1_weights = _HistoryWeights(a_coeff(np.arange(m1), alpha))
+    _march(problem, grid, sub, 0, grid.tau / m1, alpha, l1_weights, compact)
     layers[1] = sub[m1]
     del sub
 
     idx = np.arange(grid.M)
     a_s, b_s = a_coeff(idx, alpha), b_coeff(idx, alpha)
-    _march(problem, grid, layers, 1, grid.tau, alpha, lambda j: _l2_weights(j, a_s, b_s), compact)
+    l2_weights = _HistoryWeights(_l2_bulk(a_s, b_s), lambda j: _l2_ends(j, a_s, b_s))
+    _march(problem, grid, layers, 1, grid.tau, alpha, l2_weights, compact)
     return SolutionHistory(layers=layers, grid=grid)

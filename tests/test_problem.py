@@ -21,6 +21,8 @@ from fracheat import (
     manufactured_case,
     solve,
 )
+from fracheat.problem import _last_call
+from fracheat.solver import _evaluate
 
 CSTEP = 1e-20
 
@@ -400,3 +402,82 @@ def test_a_field_that_writes_to_its_nodes_is_stopped():
 
     with pytest.raises(ValueError, match="read-only"):
         solve(_with(base, k=k_in_place), GRID, ALPHA)
+
+
+def _evaluated(values, name, variant=Coefficients.VARIABLE_XT):
+    """``_evaluate`` of field ``name`` returning ``values`` at nodes of its size."""
+    base = manufactured_case(ALPHA, variant).problem
+    nodes = np.linspace(0.0, 1.0, values.size)
+    field = (lambda x: values.copy()) if name == "u0" else (lambda x, t: values.copy())
+    return _evaluate(_with(base, **{name: field}), name, nodes, 0.25), nodes
+
+
+def _evaluate_error(values, name, variant=Coefficients.VARIABLE_XT):
+    with pytest.raises(ValueError) as err:
+        _evaluated(values, name, variant)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("n", [3, 9, 17, 251])
+def test_evaluate_names_the_first_non_finite_node(n):
+    # both infinities in one array, where finiteness must be decided before
+    # the bounds; each infinity alone; a NaN at the last node, past any
+    # blocked part of a reduction
+    nodes = np.linspace(0.0, 1.0, n)
+    cases = [({n // 2: np.inf, n - 1: -np.inf}, n // 2), ({1: np.inf}, 1), ({n - 1: -np.inf}, n - 1),
+             ({n - 1: np.nan}, n - 1)]
+    for name in ("k", "q", "f"):
+        for bad, first in cases:
+            v = np.full(n, 2.0)
+            for i, value in bad.items():
+                v[i] = value
+            assert _evaluate_error(v, name) == f"{name} is not finite at t=0.25, x={nodes[first]}"
+
+
+def test_evaluate_checks_the_bounds_at_their_thresholds():
+    c1 = manufactured_case(ALPHA).problem.c1_lower
+    nodes = np.linspace(0.0, 1.0, 9)
+    k = np.full(9, 2.0)
+    k[4] = c1 - 1e-12
+    assert _evaluated(k, "k")[0].tobytes() == k.tobytes()
+    k[6] = np.nextafter(c1 - 1e-12, 0.0)
+    assert _evaluate_error(k, "k") == f"k drops below c1={c1} at t=0.25, x={nodes[6]}"
+    q = np.full(9, 0.5)
+    q[2] = -1e-12
+    assert _evaluated(q, "q")[0].tobytes() == q.tobytes()
+    q[7] = np.nextafter(-1e-12, -1.0)
+    assert _evaluate_error(q, "q") == f"q is negative at t=0.25, x={nodes[7]}"
+
+
+def test_evaluate_checks_time_only_spread_at_its_threshold():
+    # q spreads exactly 1e-12 (pass) or 2e-12 (fail) from 0; k, near 1.5,
+    # spreads by the last and the first difference of doubles there not
+    # above 1e-12
+    nodes = np.linspace(0.0, 1.0, 9)
+    ulp = 2.0**-52
+    for name, base, at, past in (("q", 0.0, 1e-12, 2e-12), ("k", 1.5, 4503 * ulp, 4504 * ulp)):
+        v = np.full(9, base)
+        v[3] = base + at
+        assert np.ptp(v) <= 1e-12 and (name == "k" or np.ptp(v) == 1e-12)
+        assert _evaluated(v, name, Coefficients.TIME_ONLY)[0].tobytes() == v.tobytes()
+        v[5] = base + past
+        assert np.ptp(v) > 1e-12
+        assert _evaluate_error(v, name, Coefficients.TIME_ONLY) == (
+            f"coefficients declared time-only but {name} varies in x at t=0.25, x={nodes[5]}")
+
+
+def test_memo_hits_only_on_the_same_shape_bytes_and_t():
+    computed = []
+    memo = _last_call(lambda x, t: computed.append((x.shape, t)) or x * t)
+    flat = np.arange(6.0)
+    wide, tall = flat.reshape(2, 3), flat.reshape(3, 2)
+    assert memo(wide, 0.5).shape == (2, 3)
+    assert memo(wide.copy(), 0.5).shape == (2, 3)  # same shape and bytes: a hit
+    assert memo(tall, 0.5).shape == (3, 2)  # same bytes, another shape: a miss
+    assert memo(tall, -0.5).shape == (3, 2)
+    zero, minus_zero = np.zeros(2), -np.zeros(2)
+    memo(zero, 1.0)
+    memo(minus_zero, 1.0)  # equal values, other bits
+    zero += 1.0
+    memo(zero, 1.0)  # changed in place since the last call with it
+    assert computed == [((2, 3), 0.5), ((3, 2), 0.5), ((3, 2), -0.5), ((2,), 1.0), ((2,), 1.0), ((2,), 1.0)]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,8 +24,7 @@ from fracheat import (
     thomas_solve,
 )
 import fracheat.solver as solver_module
-from fracheat.kernel import _l2_weights, a_coeff, b_coeff
-from fracheat.solver import _history
+from fracheat.kernel import _HistoryWeights, _l2_bulk, _l2_ends, _l2_weights, a_coeff, b_coeff
 
 
 def constant_coefficient_problem(f=None, u0=None, q_const=0.0):
@@ -84,6 +84,19 @@ def test_compact_H_hand_value():
     out = apply_compact_H(np.array([0.0, 1.0, 0.0]))
     assert out[1] == pytest.approx(5.0 / 6.0, rel=1e-15)
     assert out[0] == 0.0 and out[2] == 0.0
+
+
+def test_compact_H_is_bit_for_bit_the_plain_formula():
+    # built in place, it must round as v_i + (v_{i+1} - 2 v_i + v_{i-1}) / 12,
+    # signed zeros and equal neighbours included
+    rng = np.random.default_rng(18)
+    for n in (2, 3, 4, 251):
+        for _ in range(100):
+            v = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0)
+            v[rng.random(n) < 0.2] = rng.choice([0.0, -0.0, 1.0])
+            plain = v.copy()
+            plain[1:-1] += (v[2:] - 2.0 * v[1:-1] + v[:-2]) / 12.0
+            assert apply_compact_H(v).tobytes() == plain.tobytes()
 
 
 def test_compact_H_norm_equivalence():
@@ -153,6 +166,54 @@ def test_thomas_zero_pivot():
     )
     with pytest.raises(ZeroDivisionError):
         thomas_solve(sys)
+
+
+def _count_loop_calls(monkeypatch):
+    calls = []
+    loop = solver_module._thomas_loop
+
+    def counted_loop(sys):
+        calls.append(sys.diag.size)
+        return loop(sys)
+
+    monkeypatch.setattr(solver_module, "_thomas_loop", counted_loop)
+    return calls
+
+
+@pytest.mark.parametrize("row", [0, 3, 6])
+def test_thomas_row_interchange_goes_to_the_loop(row, monkeypatch):
+    # dgttrf runs on the transpose, whose sub-diagonal is ``upper``: it swaps
+    # rows where a pivot is smaller in magnitude than the entry below it
+    calls = _count_loop_calls(monkeypatch)
+    rng = np.random.default_rng(row)
+    n = 8
+    lower, upper = rng.uniform(0.5, 1.0, n - 1), rng.uniform(0.5, 1.0, n - 1)
+    diag = 20.0 + rng.uniform(0.0, 1.0, n)
+    # pivot 0.125 at ``row``: under |upper[row]|, far above the pivot floor
+    diag[row] = (lower[row - 1] * _multiplier_into(lower, diag, upper, row) if row else 0.0) + 0.125
+    sys = TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=rng.standard_normal(n))
+    assert thomas_solve(sys).tobytes() == _reference_thomas_system(sys).tobytes()
+    assert calls == [n]
+
+
+@pytest.mark.parametrize("row", [0, 2, 5, 7])
+def test_thomas_near_zero_pivot_raises_on_the_lapack_path(row, monkeypatch):
+    # a pivot of a few 1e-16 of the largest |diag|, nonzero, under the 1e-15
+    # floor; upper[row] = 0 keeps dgttrf from swapping rows there, so LAPACK
+    # itself meets it
+    calls = _count_loop_calls(monkeypatch)
+    n = 8
+    lower, upper = np.full(n - 1, 0.5), np.full(n - 1, 0.5)
+    diag = np.full(n, 4.0)
+    if row < n - 1:
+        upper[row] = 0.0
+    diag[row] = (lower[row - 1] * _multiplier_into(lower, diag, upper, row) if row else 0.0) + 1.6e-15
+    pivot = diag[row] - (lower[row - 1] * _multiplier_into(lower, diag, upper, row) if row else 0.0)
+    assert 0.0 < pivot < 1e-15 * 4.0
+    sys = TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=np.ones(n))
+    with pytest.raises(ZeroDivisionError, match=re.escape(f"zero pivot in tridiagonal elimination (row {row})")):
+        thomas_solve(sys)
+    assert calls == []
 
 
 def _reference_thomas(lower, diag, upper, rhs):
@@ -340,22 +401,47 @@ def test_bootstrap_accuracy_order():
 # ----------------------------------------------------------------- stepping
 
 
+def _weight_tables(alpha, size):
+    """The two weight tables a solve builds, each with the rule it stands for:
+    the L1 weights a_s at every level, and the L2 weights c_s of level j."""
+    idx = np.arange(size)
+    a, b = a_coeff(idx, alpha), b_coeff(idx, alpha)
+    return [
+        (_HistoryWeights(a), lambda j: a[: j + 1]),
+        (_HistoryWeights(_l2_bulk(a, b), lambda j: _l2_ends(j, a, b)), lambda j: _l2_weights(j, a, b)),
+    ]
+
+
 @pytest.mark.parametrize("j", [0, 1, 2, 3, 50])
 def test_history_by_parts_matches_difference_form(j):
-    # both weight families the level loop feeds it: the L1 vector of the
-    # bootstrap, longer than the level needs, and the L2 vector of level j
+    # both weight tables the level loop reads: the L1 weights of the
+    # bootstrap, longer than the level needs, and the L2 weights of level j
     rng = np.random.default_rng(100 + j)
     for a in (0.1, 0.5, 0.9):
-        alpha = AlphaParam(a)
-        idx = np.arange(j + 4)
-        families = [a_coeff(idx, alpha)]
-        if j >= 1:
-            families.append(_l2_weights(j, a_coeff(idx, alpha), b_coeff(idx, alpha)))
-        for w in families:
+        for table, rule in _weight_tables(AlphaParam(a), j + 4)[: 2 if j >= 1 else 1]:
+            w = rule(j)
+            w0, kappa = table(j)
             mass = rng.standard_normal((j + 1, 33)) * 10.0 ** rng.uniform(-3.0, 3.0)
             diff_form = w[0] * mass[j] - sum(w[j - s] * (mass[s + 1] - mass[s]) for s in range(j))
             bound = 1e-13 * np.sum(np.abs(w[: j + 1])) * np.max(np.abs(mass))
-            assert np.max(np.abs(_history(w, mass, j) - diff_form)) <= bound
+            assert w0 == w[0]
+            assert np.max(np.abs(kappa @ mass - diff_form)) <= bound
+
+
+@pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_weight_tables_give_the_rules_kappa_bit_for_bit(a):
+    # every level of an M=2000 solve, j = 1 and j = 2 (kappa_2 reads the
+    # bulk c_0, or no bulk entry at all) among them
+    m = 2000
+    for table, rule in _weight_tables(AlphaParam(a), m):
+        levels = 0
+        for j in range(1, m):
+            w = rule(j)
+            w0, kappa = table(j)
+            assert kappa.tobytes() == np.diff(w[j::-1], prepend=0.0).tobytes(), (a, j)
+            assert np.float64(w0).tobytes() == w[:1].tobytes(), (a, j)
+            levels += j in (1, 2)
+        assert levels == 2
 
 
 def _reference_l2_weights(j, a, b):
