@@ -17,6 +17,8 @@ from .analysis import norm_L2
 from .kernel import (
     AlphaParam,
     TimeSeries,
+    _l2_bulk,
+    _l2_ends,
     _l2_weights,
     a_coeff,
     b_coeff,
@@ -96,45 +98,67 @@ def check_b_bounds(alphas=ALPHA_GRID, s_max: int = S_MAX) -> CheckResult:
     return CheckResult("b_s bounds", worst > 0.0, f"worst margin {worst:.3e}")
 
 
-def _c_tables(a: float, j_max: int):
-    """All weight vectors for 2 <= j <= j_max from one pair of coefficient arrays."""
+def _coefficients(a: float, j_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """a_0..a_{j_max} and b_0..b_{j_max}, which every weight up to level j_max + 1 is built from."""
     alpha = AlphaParam(a)
     idx = np.arange(j_max + 1)
-    av = a_coeff(idx, alpha)
-    bv = b_coeff(idx, alpha)
-    for j in range(2, j_max + 1):
-        yield j, _l2_weights(j, av, bv)
+    return a_coeff(idx, alpha), b_coeff(idx, alpha)
 
 
 def check_c_bounds(alphas=ALPHA_GRID, j_max: int = J_MAX) -> CheckResult:
-    """(11/16)(1-a)/(j+1)^a < c_j < (1-a)/j^a for all 2 <= j <= j_max."""
+    """(11/16)(1-a)/(j+1)^a < c_j < (1-a)/j^a for all 2 <= j <= j_max.
+
+    c_j is the last end weight of level j+1, so one vector of them serves all j.
+    """
     worst = np.inf
+    j = np.arange(2, j_max + 1)
     for a in alphas:
-        for j, c in _c_tables(a, j_max):
-            lo = (11.0 / 16.0) * (1.0 - a) / (j + 1.0) ** a
-            hi = (1.0 - a) / j**a
-            worst = min(worst, c[j] - lo, hi - c[j])
+        _, c_j = _l2_ends(j, *_coefficients(a, j_max))
+        lo = (11.0 / 16.0) * (1.0 - a) / (j + 1.0) ** a
+        hi = (1.0 - a) / j**a
+        worst = min(worst, float(np.min(np.minimum(c_j - lo, hi - c_j), initial=np.inf)))
     return CheckResult("c_j bounds", worst > 0.0, f"worst margin {worst:.3e}")
 
 
 def check_c_chain(alphas=ALPHA_GRID, j_max: int = J_MAX) -> CheckResult:
-    """c_0 > c_2 > c_3 > ... > c_j (c_1 is not part of the chain)."""
+    """c_0 > c_2 > c_3 > ... > c_j (c_1 is not part of the chain).
+
+    From j = 4 on, the chain of level j+1 is c_0, c_2..c_{j-2} of the bulk
+    rule, then the two end weights.  Its steps are the bulk steps, which all
+    levels share (those of the deepest level contain every shallower
+    level's), and the two steps into the end weights of each level.  So each
+    step is formed once; j = 2, 3, where c_2 is an end weight, are taken
+    whole.
+    """
     worst = np.inf
+    j = np.arange(4, j_max + 1)
     for a in alphas:
-        for j, c in _c_tables(a, j_max):
-            chain = np.concatenate(([c[0]], c[2:]))
-            worst = min(worst, float(np.min(-np.diff(chain))))
+        av, bv = _coefficients(a, j_max)
+        for j_small in range(2, min(j_max, 3) + 1):
+            c = _l2_weights(j_small, av, bv)
+            worst = min(worst, float(np.min(-np.diff(np.concatenate(([c[0]], c[2:]))))))
+        if j.size:
+            bulk = _l2_bulk(av, bv)
+            c_jm1, c_j = _l2_ends(j, av, bv)
+            steps = (-np.diff(bulk[[0, 2]]), -np.diff(bulk[2 : j_max - 1]), -(c_jm1 - bulk[j - 2]), -(c_j - c_jm1))
+            worst = min(worst, float(np.min(np.concatenate(steps))))
     return CheckResult("c monotone chain", worst > 0.0, f"worst step {worst:.3e}")
 
 
 def check_c_positivity_combo(alphas=ALPHA_GRID, j_max: int = J_MAX) -> CheckResult:
-    """c_0 + 3 c_1 - 4 c_2 > 0 for j >= 2 (and c_0 + 3 c_1 > 0 at j = 1)."""
+    """c_0 + 3 c_1 - 4 c_2 > 0 for j >= 2 (and c_0 + 3 c_1 > 0 at j = 1).
+
+    From j = 4 on, c_0, c_1 and c_2 are bulk weights, the same at every
+    level, so j = 4 stands for all deeper levels.
+    """
     worst = np.inf
     for a in alphas:
         alpha = AlphaParam(a)
         c1 = c_weights(1, alpha)
         worst = min(worst, c1[0] + 3.0 * c1[1])
-        for j, c in _c_tables(a, j_max):
+        av, bv = _coefficients(a, j_max)
+        for j in range(2, min(j_max, 4) + 1):
+            c = _l2_weights(j, av, bv)
             worst = min(worst, c[0] + 3.0 * c[1] - 4.0 * c[2])
     return CheckResult("c_0+3c_1-4c_2 positivity", worst > 0.0, f"worst value {worst:.3e}")
 

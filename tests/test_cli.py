@@ -1,4 +1,9 @@
-"""Flag parsing, exit codes, output determinism, file writing."""
+"""Flag parsing, exit codes, output determinism, file writing, import weight."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,3 +142,14 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys):
     cfg = parse_args(["--table", "1", "--alpha", "0.5", "--depth", "1", "--out", str(tmp_path)])
     assert run(cfg) == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_import_leaves_heavy_scipy_subpackages_unloaded():
+    # the package needs only scipy.linalg's LAPACK wrappers; the lemma suite
+    # is imported too, since `--properties` loads it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    heavy = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse")
+    code = f"import sys, fracheat.cli, fracheat.lemmas; print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from fracheat import AlphaParam, a_coeff, b_coeff, bar_weights, c_weights
+from fracheat import lemmas
+from fracheat.kernel import _l2_weights
+from fracheat.lemmas import (ALPHA_GRID, CheckResult, check_c_bounds, check_c_chain,
+                             check_c_positivity_combo)
 
 
 def test_alpha_param_rejects_boundary_values():
@@ -149,3 +153,56 @@ def test_bar_weights_nonincreasing():
     for j in (2, 5, 20, 200):
         bc = bar_weights(j, alpha)
         assert np.all(np.diff(bc) <= 1e-16)
+
+
+def _true_coefficients(a, j_max):
+    alpha = AlphaParam(a)
+    idx = np.arange(j_max + 1)
+    return a_coeff(idx, alpha), b_coeff(idx, alpha)
+
+
+def _reference_c_checks(j_max, alphas=ALPHA_GRID, coefficients=_true_coefficients):
+    """The three c-weight lemma checks built the plain way: the whole weight
+    vector of every level 2 <= j <= j_max, one at a time."""
+    bounds = chain = combo = np.inf
+    for a in alphas:
+        alpha = AlphaParam(a)
+        av, bv = coefficients(a, j_max)
+        c1 = c_weights(1, alpha)
+        combo = min(combo, c1[0] + 3.0 * c1[1])
+        for j in range(2, j_max + 1):
+            c = _l2_weights(j, av, bv)
+            lo = (11.0 / 16.0) * (1.0 - a) / (j + 1.0) ** a
+            hi = (1.0 - a) / j**a
+            bounds = min(bounds, c[j] - lo, hi - c[j])
+            chain = min(chain, float(np.min(-np.diff(np.concatenate(([c[0]], c[2:]))))))
+            combo = min(combo, c[0] + 3.0 * c[1] - 4.0 * c[2])
+    return [
+        CheckResult("c_j bounds", bounds > 0.0, f"worst margin {bounds:.3e}"),
+        CheckResult("c monotone chain", chain > 0.0, f"worst step {chain:.3e}"),
+        CheckResult("c_0+3c_1-4c_2 positivity", combo > 0.0, f"worst value {combo:.3e}"),
+    ]
+
+
+def _c_checks(j_max, alphas=ALPHA_GRID):
+    return [check(alphas, j_max) for check in (check_c_bounds, check_c_chain, check_c_positivity_combo)]
+
+
+@pytest.mark.parametrize("j_max", (2, 3, 4, 5, 6, 7, 10, 50, 1000))
+def test_c_lemma_checks_match_the_level_by_level_reference(j_max):
+    assert _c_checks(j_max) == _reference_c_checks(j_max)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("j_max", (4, 5, 10, 50))
+def test_c_lemma_checks_match_the_reference_on_arbitrary_coefficients(monkeypatch, seed, j_max):
+    # The checks share work between levels by algebra alone, so they must
+    # agree with the reference on any coefficient tables.  On the true ones
+    # (b_s > 0) the worst value always sits in the end weights; tables with
+    # b_s of either sign also put it in a bulk step or at a level j >= 4 of
+    # the combination.
+    rng = np.random.default_rng(seed)
+    tables = rng.standard_normal(j_max + 1), rng.standard_normal(j_max + 1)
+    monkeypatch.setattr(lemmas, "_coefficients", lambda a, j: tables)
+    alphas = (0.5,)
+    assert _c_checks(j_max, alphas) == _reference_c_checks(j_max, alphas, lambda a, j: tables)

@@ -14,6 +14,7 @@ from fracheat import (
     l1_caputo,
     l2_caputo,
 )
+from fracheat.lemmas import ALPHA_GRID
 
 
 def uniform_series(fn, m_steps, tau=None):
@@ -148,9 +149,43 @@ def test_exact_caputo_power_rejects_nonpositive_mu():
         exact_caputo_power(0.0, AlphaParam(0.5), 1.0)
 
 
-def test_quadrature_reference_matches_power_rule():
-    for a in (0.2, 0.8):
-        alpha = AlphaParam(a)
-        got = caputo_by_quadrature(lambda s: 3.0 * s * s, alpha, 0.7)
-        assert got == pytest.approx(exact_caputo_power(3.0, alpha, 0.7), rel=1e-11)
-    assert caputo_by_quadrature(np.cos, AlphaParam(0.5), 0.0) == 0.0
+@pytest.mark.parametrize("t", (0.1, 1.0, 3.0))
+@pytest.mark.parametrize("a", (ALPHA_GRID[0], ALPHA_GRID[len(ALPHA_GRID) // 2], ALPHA_GRID[-1]))
+def test_quadrature_reference_matches_power_rule(a, t):
+    # Smooth integrands, against closed forms.  Worst relative error
+    # measured over the whole alpha grid and these t: 2.2e-15 for the powers,
+    # 1.4e-15 for the e^t series.
+    alpha = AlphaParam(a)
+    for mu in (1.0, 2.0, 3.0):
+        got = caputo_by_quadrature(lambda s: mu * s ** (mu - 1.0), alpha, t)
+        assert got == pytest.approx(exact_caputo_power(mu, alpha, t), rel=1e-13)
+    # D^alpha e^t = sum_k t^(k+1-alpha) / Gamma(k+2-alpha)
+    series = math.fsum(t ** (k + 1 - a) / math.gamma(k + 2 - a) for k in range(60))
+    assert caputo_by_quadrature(np.exp, alpha, t) == pytest.approx(series, rel=1e-13)
+    assert caputo_by_quadrature(np.cos, alpha, 0.0) == 0.0
+
+
+@pytest.mark.parametrize(("mu", "rel"), ((2.5, 5e-9), (3.4, 2e-11)))
+@pytest.mark.parametrize("a", ALPHA_GRID)
+def test_quadrature_reference_converges_algebraically_on_fractional_powers(a, mu, rel):
+    # du/dt ~ s^(mu-1) at s = 0 is not smooth there, so the 40-point rule
+    # converges only algebraically.  Worst relative error measured over the
+    # alpha grid (t-independent for a pure power): 1.7e-9 at mu = 2.5 and
+    # 5.1e-12 at mu = 3.4, the smoothness of the manufactured solution's
+    # t^(3+alpha) term.
+    alpha = AlphaParam(a)
+    got = caputo_by_quadrature(lambda s: mu * s ** (mu - 1.0), alpha, 1.0)
+    assert got == pytest.approx(exact_caputo_power(mu, alpha, 1.0), rel=rel)
+
+
+def test_quadrature_reference_calls_du_dt_once_with_all_points():
+    calls = []
+
+    def du_dt(s):
+        calls.append(np.array(s))
+        return np.cos(s)
+
+    caputo_by_quadrature(du_dt, AlphaParam(0.5), 2.0)
+    assert len(calls) == 1
+    points = calls[0]
+    assert points.shape == (40,) and np.all((points > 0.0) & (points < 2.0))
