@@ -170,11 +170,11 @@ def _l2_weights(j: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _HistoryWeights:
     """The weights of every level of one march, ready for the history sum.
 
-    Level j weighs the increments of the mass layers with w_0..w_j: the bulk
+    Level j weighs the increments of the layers with w_0..w_j: the bulk
     weights ``bulk`` with their last entries replaced by ``ends(j)`` (none for
     the L1 weights a_s, ``_l2_ends`` for the L2 weights c_s).  Summed by
-    parts, the history w_0 m^j - sum_{s<j} w_{j-s} (m^{s+1} - m^s) is
-    sum_s kappa_s m^s with kappa_0 = w_j and kappa_s = w_{j-s} - w_{j-s+1},
+    parts, the history w_0 y^j - sum_{s<j} w_{j-s} (y^{s+1} - y^s) is
+    sum_s kappa_s y^s with kappa_0 = w_j and kappa_s = w_{j-s} - w_{j-s+1},
     the entries of np.diff(w[j::-1], prepend=0.0).  Past the replaced
     entries, every kappa_s is a difference of two bulk weights, and those do
     not depend on j.  So they are subtracted once, into one reversed table,
@@ -313,12 +313,14 @@ def caputo_by_quadrature(du_dt, alpha: AlphaParam, t: float) -> float:
     return (0.5 * t) ** (1.0 - alpha.alpha) * float(w @ values) / alpha.gamma_1ma
 
 
-def energy_E(v_cur: float, v_prev: float, c0: float, c1: float) -> float:
+def energy_E(v_cur, v_prev, c0: float, c1: float):
     """Discrete energy of a pair of consecutive values.
 
     E = ((r + s)/2)^2 v_cur^2 + (r v_cur - (r + s)/2 v_prev)^2 with
     r = sqrt((c0 - c1)/2), s = sqrt((c0 + 3 c1)/2); the constraint
-    c0 >= max(c1, -3 c1) keeps both radicands nonnegative.
+    c0 >= max(c1, -3 c1) keeps both radicands nonnegative.  ``v_cur`` and
+    ``v_prev`` may be floats or arrays of one shape; arrays give the energy
+    of each pair, elementwise.
     """
     if c0 < max(c1, -3.0 * c1):
         raise ValueError(f"need c0 >= max(c1, -3*c1); got c0={c0}, c1={c1}")

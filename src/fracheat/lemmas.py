@@ -186,11 +186,9 @@ def check_energy_inequality(trials: int = 1000, seed: int = 20240) -> CheckResul
         c1 = float(rng.uniform(-2.0, 2.0))
         c0 = max(c1, -3.0 * c1) + float(rng.uniform(0.0, 3.0))
         v = rng.uniform(-5.0, 5.0, size=int(rng.integers(3, 51)))
-        for j in range(1, v.size - 1):
-            lhs = v[j + 1] * (c0 * v[j + 1] - (c0 - c1) * v[j] - c1 * v[j - 1])
-            gap = lhs - (energy_E(v[j + 1], v[j], c0, c1) - energy_E(v[j], v[j - 1], c0, c1))
-            scale = max(1.0, abs(lhs))
-            worst = min(worst, gap / scale)
+        lhs = v[2:] * (c0 * v[2:] - (c0 - c1) * v[1:-1] - c1 * v[:-2])  # j = 1 .. v.size - 2
+        e = energy_E(v[1:], v[:-1], c0, c1)  # E_1 .. E_{v.size - 1}
+        worst = min(worst, float(np.min((lhs - (e[1:] - e[:-1])) / np.maximum(1.0, np.abs(lhs)))))
     return CheckResult("pair energy inequality", worst >= -1e-12, f"worst scaled gap {worst:.3e}")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -52,12 +53,14 @@ class GridSpec:
     horizon: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.N < 2:
-            raise ValueError(f"need at least N=2 spatial subintervals, got {self.N}")
-        if self.M < 1:
-            raise ValueError(f"need at least M=1 time step, got {self.M}")
-        if not (self.length > 0.0 and self.horizon > 0.0):
-            raise ValueError("domain length and horizon must be positive")
+        for name, least in (("N", 2), ("M", 1)):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+        for name in ("length", "horizon"):
+            v = getattr(self, name)
+            if not (v > 0.0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
     @property
     def h(self) -> float:

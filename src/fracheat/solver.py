@@ -1,14 +1,15 @@
 """Implicit time-stepping for the 1-D time-fractional diffusion equation.
 
-Both schemes run through one level loop.  At each level the nonlocal time
-operator contributes ``rho * w_0`` on the new layer plus a history sum over
-all previous layers, and the spatial operator makes the implicit matrix
-tridiagonal.  The schemes differ only in the mass operator the time
-derivative acts on: the identity for order2, the fourth-order averaging
-``H`` for compact4.  The loop runs twice per solve: first with the L1
-weights ``a_s`` on a refined subgrid of [0, tau], which bootstraps the first
-layer (the quadratic-interpolation weights need three time points), then
-with the L2 weights ``c_s`` on the main grid.
+Both schemes run through one level loop over one array of layers.  At each
+level the nonlocal time operator contributes ``rho * w_0`` on the new layer
+plus a history sum over all previous layers, the right-hand side is
+f + rho * hist, and the spatial operator makes the implicit matrix
+tridiagonal.  compact4 also applies the fourth-order averaging ``H`` to the
+time derivative and to f: its matrix is ``H``-scaled, and ``H``, being
+linear, acts once per level on the right-hand side.  The loop runs twice per
+solve: first with the L1 weights ``a_s`` on a refined subgrid of [0, tau],
+which bootstraps the first layer (the quadratic-interpolation weights need
+three time points), then with the L2 weights ``c_s`` on the main grid.
 """
 
 from __future__ import annotations
@@ -235,40 +236,41 @@ def _advance(
     grid: GridSpec,
     nodes: tuple[np.ndarray, np.ndarray],
     layers: np.ndarray,
-    mass: np.ndarray,
     j: int,
     t_new: float,
     rho: float,
     weights: _HistoryWeights,
     compact: bool,
 ) -> None:
-    """Write the interior of layer j+1 from the mass layers 0..j.
+    """Write the interior of layer j+1 from layers 0..j.
 
-    The time derivative at t_new is rho * (w_0 m^{j+1} - hist) with
-    hist = w_0 m^j - sum_{s=0}^{j-1} w_{j-s} (m^{s+1} - m^s), summed by parts
+    The time derivative at t_new is rho * (w_0 y^{j+1} - hist) with
+    hist = w_0 y^j - sum_{s=0}^{j-1} w_{j-s} (y^{s+1} - y^s), summed by parts
     as one matrix-vector product of the level's kappa (see
-    ``_HistoryWeights``) with the contiguous mass layers 0..j, with no
-    temporary the size of the history.  For order2 the implicit matrix is
-    rho w_0 I - Lambda(t_new); for compact4 it is (rho w_0 + q) H - k D2,
-    whose entries are constant since k = k(t), q = q(t).  f, k and q come
-    from ``_evaluate``, once per level, at ``nodes`` = (x_i, x_{i-1/2}),
-    which ``_march`` builds once for all its levels.  The system is built in
-    place, by the same operations in the same order as the plain
-    expressions, so the bits are theirs.  Kept as its own call so that each
-    level's temporaries are freed before the next one is built.  The solve
-    looks up the module-level ``thomas_solve`` at each call, so a wrapper put
-    there (a profiler's span, a test's reference sweep) sees every solve.
+    ``_HistoryWeights``) with the contiguous layers 0..j, with no temporary
+    the size of the history.  For order2 the implicit matrix is
+    rho w_0 I - Lambda(t_new) and the right-hand side f + rho * hist; for
+    compact4 they are (rho w_0 + q) H - k D2, constant since k = k(t),
+    q = q(t), and H (f + rho * hist).  f, k and q come from ``_evaluate``,
+    once per level, at ``nodes`` = (x_i, x_{i-1/2}), which ``_march`` builds
+    once for all its levels.  The system is built in place, by the same
+    operations in the same order as the plain expressions, so the bits are
+    theirs.  Kept as its own call so that each level's temporaries are freed
+    before the next one is built.  The solve looks up the module-level
+    ``thomas_solve`` at each call, so a wrapper put there (a profiler's span,
+    a test's reference sweep) sees every solve.
     """
     w0, kappa = weights(j)
-    rhs = (kappa @ mass[: j + 1])[1:-1]
     x, x_half = nodes
-    phi = _evaluate(problem, "f", x, t_new)
+    rhs = kappa @ layers[: j + 1]
+    rhs *= rho  # f + rho * hist
+    rhs += _evaluate(problem, "f", x, t_new)
     a_half = _evaluate(problem, "k", x_half, t_new)
     d = _evaluate(problem, "q", x, t_new)[1:-1]
     h2 = grid.h * grid.h
     coef = rho * w0
     if compact:
-        phi = apply_compact_H(phi)
+        rhs = apply_compact_H(rhs)
         wd = coef + d[0]
         a = a_half[0]
         diag = np.full(grid.N - 1, wd * 10.0 / 12.0 + 2.0 * a / h2)
@@ -279,9 +281,7 @@ def _advance(
         diag += coef
         diag += d
         off = a_half[1:-1] / -h2
-    rhs *= rho  # phi + rho * hist
-    rhs += phi[1:-1]
-    layers[j + 1, 1:-1] = thomas_solve(TridiagonalSystem(lower=off, diag=diag, upper=off, rhs=rhs))
+    layers[j + 1, 1:-1] = thomas_solve(TridiagonalSystem(lower=off, diag=diag, upper=off, rhs=rhs[1:-1]))
 
 
 def _march(
@@ -297,24 +297,16 @@ def _march(
     """Fill the interiors of layers[first+1:] in place at time step tau from
     layers[:first+1]; their boundary entries stay as they are, zero.
 
-    ``weights`` gives the weights of each level.  The mass layers are
-    ``layers`` itself for order2 and H applied once to each layer for compact4.
-    The node arrays are read-only, so a field that writes to its x fails
-    instead of moving the nodes of later levels.
+    ``weights`` gives the weights of each level.  The node arrays are
+    read-only, so a field that writes to its x fails instead of moving the
+    nodes of later levels.
     """
     rho = tau ** (-alpha.alpha) / alpha.gamma_2ma
     nodes = (grid.x_nodes(), grid.x_half_nodes())
     for x in nodes:
         x.flags.writeable = False
-    mass = layers
-    if compact:
-        mass = np.zeros_like(layers)
-        for s in range(first + 1):
-            mass[s] = apply_compact_H(layers[s])
     for j in range(first, layers.shape[0] - 1):
-        _advance(problem, grid, nodes, layers, mass, j, (j + 1) * tau, rho, weights, compact)
-        if compact:
-            mass[j + 1] = apply_compact_H(layers[j + 1])
+        _advance(problem, grid, nodes, layers, j, (j + 1) * tau, rho, weights, compact)
 
 
 def solve(

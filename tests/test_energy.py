@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracheat import AlphaParam, TimeSeries, bar_weights, c_weights, energy_E, l2_caputo
-from fracheat.lemmas import check_energy_inequality, check_history_energy_inequality
+from fracheat.lemmas import CheckResult, check_energy_inequality, check_history_energy_inequality
 
 
 def test_energy_zero_state():
@@ -34,6 +34,27 @@ def test_energy_is_nonnegative():
 def test_pair_energy_inequality_randomized():
     result = check_energy_inequality(trials=300, seed=99)
     assert result.passed, result.detail
+
+
+def _pair_energy_check_by_levels(trials: int, seed: int) -> CheckResult:
+    # the pair-energy check level by level, with the same draws in the same order
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for _ in range(trials):
+        c1 = float(rng.uniform(-2.0, 2.0))
+        c0 = max(c1, -3.0 * c1) + float(rng.uniform(0.0, 3.0))
+        v = rng.uniform(-5.0, 5.0, size=int(rng.integers(3, 51)))
+        for j in range(1, v.size - 1):
+            lhs = v[j + 1] * (c0 * v[j + 1] - (c0 - c1) * v[j] - c1 * v[j - 1])
+            gap = lhs - (energy_E(v[j + 1], v[j], c0, c1) - energy_E(v[j], v[j - 1], c0, c1))
+            scale = max(1.0, abs(lhs))
+            worst = min(worst, gap / scale)
+    return CheckResult("pair energy inequality", worst >= -1e-12, f"worst scaled gap {worst:.3e}")
+
+
+@pytest.mark.parametrize("trials, seed", [(1000, 20240), (300, 99), (200, 0), (200, 1), (50, 7)])
+def test_pair_energy_check_matches_the_level_loop(trials, seed):
+    assert check_energy_inequality(trials=trials, seed=seed) == _pair_energy_check_by_levels(trials, seed)
 
 
 def test_history_energy_inequality_randomized():

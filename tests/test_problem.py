@@ -32,11 +32,15 @@ def complex_step_dt(u, x, t):
 
 
 def test_gridspec_rejects_bad_sizes():
-    for n_sub, m_steps in ((1, 10), (0, 10), (10, 0)):
-        with pytest.raises(ValueError):
+    for n_sub, m_steps, field in ((1, 10, "N"), (0, 10, "N"), (10, 0, "M"), (10.5, 4, "N"), (10.0, 4, "N"),
+                                  (10, 4.0, "M"), (True, 4, "N"), ("10", 4, "N")):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             GridSpec(N=n_sub, M=m_steps)
-    with pytest.raises(ValueError):
-        GridSpec(N=4, M=4, length=-1.0)
+    for field, value in (("length", -1.0), ("length", math.inf), ("horizon", math.inf), ("horizon", math.nan)):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            GridSpec(N=4, M=4, **{field: value})
+    grid = GridSpec(N=np.int64(10), M=np.int32(4))  # numpy integers stay accepted
+    assert grid.x_nodes().size == 11 and grid.t_nodes().size == 5
 
 
 def test_grid_product_roundtrip():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -557,6 +558,23 @@ def test_solve_evaluates_each_field_once_per_level(scheme):
     solve(dataclasses.replace(base, **{n: counted(n) for n in calls}), GridSpec(N=8, M=4), alpha, scheme)
     m1 = 3  # L1 substeps, ceil(4^(1/1.5)); then levels 2..M
     assert calls == {"k": m1 + 3, "q": m1 + 3, "f": m1 + 3, "u0": 1}
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_solve_keeps_one_array_of_layers(scheme):
+    # the layers are the only array of the history's size: the traced peak
+    # of a solve stays well under two of them, for both schemes
+    alpha = AlphaParam(0.5)
+    variant = Coefficients.TIME_ONLY if scheme is SchemeKind.COMPACT4 else Coefficients.VARIABLE_XT
+    problem = manufactured_case(alpha, variant).problem
+    grid = GridSpec(N=200, M=400)
+    tracemalloc.start()
+    try:
+        layers = solve(problem, grid, alpha, scheme).layers
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * layers.nbytes, f"peak {peak / layers.nbytes:.2f} x layers.nbytes"
 
 
 def test_solve_zero_data_stays_zero():
