@@ -304,8 +304,10 @@ def caputo_by_quadrature(du_dt, alpha: AlphaParam, t: float) -> float:
     smooth integrands come back at ~1e-14 relative.  An integrand that
     behaves like s^beta at s = 0 converges only algebraically in the number
     of points.  Serves as the independent oracle for the truncation-order
-    measurements.
+    measurements.  ``t`` must be finite and nonnegative.
     """
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if t == 0.0:
         return 0.0
     x, w = _gauss_jacobi(alpha.alpha)

@@ -53,106 +53,42 @@ class TridiagonalSystem:
         n = self.diag.size
         if n < 1:
             raise ValueError("empty system")
-        if self.lower.size != n - 1 or self.upper.size != n - 1 or self.rhs.size != n:
-            raise ValueError(
-                f"inconsistent sizes: diag {n}, lower {self.lower.size}, "
-                f"upper {self.upper.size}, rhs {self.rhs.size}"
-            )
-
-    def residual_inf(self, x: np.ndarray) -> float:
-        ax = self.diag * x
-        ax[:-1] += self.upper * x[1:]
-        ax[1:] += self.lower * x[:-1]
-        return float(np.max(np.abs(ax - self.rhs)))
+        shapes = [a.shape for a in (self.lower, self.diag, self.upper, self.rhs)]
+        if shapes != [(n - 1,), (n,), (n - 1,), (n,)]:
+            raise ValueError(f"lower, diag, upper, rhs must be 1-D of sizes n-1, n, n-1, n; got shapes {shapes}")
 
 
 def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
-    """Solve a tridiagonal system by Thomas elimination, run inside LAPACK.
+    """Solve a tridiagonal system by LU factorisation in LAPACK: ``dgttrf``
+    on A^T (sub- and super-diagonal swapped), then ``dgttrs(trans="T")``.
 
     The Thomas sweep is Crout elimination on A: c_i = u_i / p_i,
     p_{i+1} = d_{i+1} - l_i c_i, g_i = (r_i - l_{i-1} g_{i-1}) / p_i, then
-    x_i = g_i - c_i x_{i+1}.  That is Doolittle elimination on the transposed
-    matrix, so ``dgttrf`` on A^T (sub- and super-diagonal swapped) followed by
-    ``dgttrs(trans="T")`` performs the same floating-point operations in the
-    same order, and gives the sweep's result bit for bit, when dgttrf swaps
-    no rows.  dgttrs adds one term, ``- 0 * g_{i-2}``, which can only change
-    the sign of a zero.  So the row-by-row sweep, ``_thomas_loop``, still runs
-    when LAPACK cannot repeat it:
+    x_i = g_i - c_i x_{i+1}.  That is Doolittle elimination on A^T, so where
+    dgttrf swaps no rows (it swaps where |p_i| < |u_i|) the result is the
+    sweep's, bit for bit up to the sign of a zero (dgttrs adds a term
+    ``- 0 * g_{i-2}``).  Every system either scheme assembles is diagonally
+    dominant and swaps no rows.  Elsewhere this is LU with partial pivoting:
+    backward stable, and it solves systems the sweep cannot, such as
+    [[2, 4, 0], [1, 2, 2], [0, 4, 2]].
 
-    * n <= 2: scipy's f2py wrapper of dgttrf rejects those sizes, since the
-      second super-diagonal it returns would have n - 2 <= 0 entries;
-    * any row interchange, which dgttrf makes where |p_i| < |u_i|; the sweep
-      never swaps rows;
-    * a zero or non-finite entry in the solution, the only places where the
-      extra term can show: a signed zero, or 0 * inf = nan.
-
-    The assembled matrices of both schemes are diagonally dominant, so they
-    take none of these paths.  dgttrf's diagonal holds exactly the sweep's
-    pivots, and they are checked before the solve: a (near-)zero pivot, which
-    for the systems assembled here signals loss of diagonal dominance rather
-    than an expected state, raises naming the first offending row.  Both
-    checks are one reduction each: dgttrf sets ipiv[i] to i+1, or to i+2
-    where it swaps rows i and i+1, so the rows stay in place exactly when the
-    entries sum to n(n+1)/2; and the rows are searched only when the smallest
-    |pivot| is not clear of the floor.
+    A pivot of U at or below 1e-15 of the largest |diag|, which for the
+    systems assembled here means lost diagonal dominance, raises
+    ``ZeroDivisionError`` naming its row, before the solve.  scipy's dgttrf
+    wrapper rejects n <= 2, so those systems get 3 - n decoupled unit rows
+    appended.
     """
     n = sys.diag.size
-    if n <= 2:
-        return _thomas_loop(sys)
-    c, p, l, l2, ipiv, _ = lapack.dgttrf(sys.upper, sys.diag, sys.lower)
-    if ipiv.sum() != n * (n + 1) // 2:
-        return _thomas_loop(sys)
-    floor = _pivot_floor(sys.diag)
-    if not np.abs(p).min() > floor:
-        _check_pivots(p, floor)
-    x, _ = lapack.dgttrs(c, p, l, l2, ipiv, sys.rhs, trans="T")
-    if not (np.isfinite(x).all() and x.all()):
-        return _thomas_loop(sys)
-    return x
-
-
-def _pivot_floor(diag: np.ndarray) -> float:
-    """|pivot| at or below this, 1e-15 of the largest |diag|, counts as zero."""
-    return 1e-300 + 1e-15 * np.abs(diag).max()
-
-
-def _check_pivots(pivots: np.ndarray | list[float], floor: float, stop: int | None = None) -> None:
-    """Raise on the first pivot at or below ``floor`` in magnitude, else at
-    row ``stop``, where an exact zero pivot ended the sweep."""
-    small = np.flatnonzero(np.abs(pivots) <= floor)
-    row = small[0] if small.size else stop
-    if row is not None:
-        raise ZeroDivisionError(f"zero pivot in tridiagonal elimination (row {row})")
-
-
-def _thomas_loop(sys: TridiagonalSystem) -> np.ndarray:
-    """The Thomas sweep row by row in Python, the path for systems LAPACK
-    cannot solve with the same operations (see ``thomas_solve``).
-
-    The sweep runs unchecked and the pivots are checked after it; an exact
-    zero stops it early.  Either way the error names the first offending row.
-    """
-    n = sys.diag.size
-    ps: list[float] = []
-    cs: list[float] = []
-    gs: list[float] = []
-    c = g = 0.0
-    try:
-        for l, d, u, r in zip([0.0] + sys.lower.tolist(), sys.diag.tolist(), sys.upper.tolist() + [0.0],
-                              sys.rhs.tolist()):
-            p = d - l * c
-            ps.append(p)
-            c = u / p
-            g = (r - l * g) / p
-            cs.append(c)
-            gs.append(g)
-    except ZeroDivisionError:  # an exact zero pivot, the last entry of ps
-        pass
-    _check_pivots(ps, _pivot_floor(sys.diag), len(gs) if len(gs) < n else None)
-    x = [gs[-1]]
-    for c, g in zip(cs[-2::-1], gs[-2::-1]):
-        x.append(g - c * x[-1])
-    return np.array(x[::-1])
+    lower, diag, upper, rhs = sys.lower, sys.diag, sys.upper, sys.rhs
+    if n < 3:
+        pad = np.zeros(3 - n)
+        lower, diag, upper, rhs = np.r_[lower, pad], np.r_[diag, pad + 1.0], np.r_[upper, pad], np.r_[rhs, pad]
+    c, p, l, l2, ipiv, _ = lapack.dgttrf(upper, diag, lower)
+    small = np.flatnonzero(np.abs(p[:n]) <= 1e-300 + 1e-15 * np.abs(sys.diag).max())
+    if small.size:
+        raise ZeroDivisionError(f"zero pivot in tridiagonal elimination (row {small[0]})")
+    x, _ = lapack.dgttrs(c, p, l, l2, ipiv, rhs, trans="T")
+    return x[:n]
 
 
 def _evaluate(problem: DiffusionProblem, name: str, nodes: np.ndarray, t: float) -> np.ndarray:

@@ -189,3 +189,10 @@ def test_quadrature_reference_calls_du_dt_once_with_all_points():
     assert len(calls) == 1
     points = calls[0]
     assert points.shape == (40,) and np.all((points > 0.0) & (points < 2.0))
+
+
+@pytest.mark.parametrize("t", (-1.0, -1e-300, math.nan, math.inf, -math.inf))
+def test_quadrature_reference_rejects_bad_t(t):
+    # t = -1 used to come back complex, from (0.5 t)^(1 - alpha), and t = nan as nan
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
+        caputo_by_quadrature(np.cos, AlphaParam(0.5), t)
