@@ -320,6 +320,17 @@ def _reference_thomas_system(sys):
     return _reference_thomas(sys.lower.tolist(), sys.diag.tolist(), sys.upper.tolist(), sys.rhs.tolist())
 
 
+@pytest.mark.parametrize("scale", (1e-20, 1.0, 1e20))
+def test_thomas_small_systems_match_reference(scale):
+    # 1 and 2 rows are padded with unit rows for scipy's dgttrf wrapper; the
+    # pivot floor comes from the caller's diagonal, and the unit pivots of
+    # the padding are not checked against it
+    for lower, diag, upper in (([], [3.0], []), ([-1.0], [3.0, -2.0], [0.5])):
+        args = [scale * np.array(v) for v in (lower, diag, upper)] + [np.arange(1.0, len(diag) + 1.0)]
+        sys = TridiagonalSystem(*args)
+        assert thomas_solve(sys).tobytes() == _reference_thomas_system(sys).tobytes()
+
+
 @pytest.mark.parametrize("log_ratio", range(-10, 1, 2))
 def test_thomas_on_scheme_shaped_systems_matches_reference(log_ratio):
     # the systems both schemes assemble: symmetric, diag = e + (a_i + a_{i+1})/h^2,
