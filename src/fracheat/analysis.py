@@ -8,7 +8,6 @@ order between consecutive rungs is reported in three norms.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -130,8 +129,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ConvergenceTable:
     """
     ms = [m_steps for m_steps, _ in spec.rungs]
     ns = [n_sub for _, n_sub in spec.rungs]
-    args =(repeat(spec.alpha), repeat(spec.scheme), ms, ns)
+    args = (repeat(spec.alpha), repeat(spec.scheme), ms, ns)
     if jobs > 1 and len(ms) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~25 ms of import that serial runs skip
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(solve_manufactured, *args))
     else:

@@ -113,9 +113,12 @@ def b_coeff(l, alpha: AlphaParam):
 
     Evaluated through the algebraically equivalent form
     ``l^(1-a) * ((l + a/2) u - (1-a)) / (2-a)`` with
-    ``u = expm1((1-a) log1p(1/l))``; the rearrangement is what keeps b_l
-    accurate to ~1e-15 absolute at l ~ 1e4, where the textbook form has
-    already lost the strict-inequality margins of the coefficient lemma.
+    ``u = expm1((1-a) log1p(1/l))``; the rearrangement keeps b_l where the
+    textbook form has already lost the strict-inequality margins of the
+    coefficient lemma.  Against 40-digit decimal arithmetic on l <= 1e4 the
+    absolute error peaks near l = 1e4 and is at most 4.7e-13 at a = 0.05,
+    3.0e-13 at a = 0.1, 3.6e-15 at a = 0.5 and 3.8e-17 at a = 0.9, up to
+    1.9e-6 relative.
     """
     l_arr = np.asarray(l, dtype=float)
     if np.any(l_arr < 0):

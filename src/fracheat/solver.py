@@ -15,11 +15,15 @@ three time points), then with the L2 weights ``c_s`` on the main grid.
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .kernel import AlphaParam, _HistoryWeights, _l2_bulk, _l2_ends, a_coeff, b_coeff
 from .problem import Coefficients, DiffusionProblem, GridSpec
@@ -33,6 +37,40 @@ __all__ = [
     "solve",
     "thomas_solve",
 ]
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, without
+    running ``scipy.linalg.__init__``, which imports most of the package.
+
+    ``scipy.linalg.lapack`` re-exports this module's functions, so its
+    ``dgttrf`` is the very object found here.  The module is registered in
+    ``sys.modules`` under its full name before it runs, so a later
+    ``import scipy.linalg`` reuses it instead of initialising the extension
+    twice; one already there is reused.  ``import scipy`` alone is cheap and
+    sets up the shared-library paths the extension needs on some platforms.
+    Where no such extension sits in scipy's ``linalg`` directory,
+    ``scipy.linalg.lapack`` itself is used.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(p, "linalg") for p in scipy.__path__])
+    if spec is None:
+        from scipy.linalg import lapack
+
+        return lapack
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+lapack = _load_flapack()
 
 
 class SchemeKind(str, enum.Enum):

@@ -144,12 +144,64 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
-def test_import_leaves_heavy_scipy_subpackages_unloaded():
-    # the package needs only scipy.linalg's LAPACK wrappers; the lemma suite
-    # is imported too, since `--properties` loads it
+def _fresh_python(code: str) -> str:
+    """stdout of ``code`` run by a new interpreter that imports the package from ./src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    heavy = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse")
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_import_leaves_heavy_scipy_subpackages_unloaded():
+    # the package needs only the compiled LAPACK module under scipy.linalg,
+    # not scipy.linalg itself, and a process pool only for --jobs > 1; the
+    # lemma suite is imported too, since `--properties` loads it
+    heavy = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse", "scipy.linalg",
+             "concurrent.futures")
     code = f"import sys, fracheat.cli, fracheat.lemmas; print(sorted(m for m in {heavy!r} if m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_scipy_linalg_imported_later_reuses_the_loaded_lapack_module():
+    code = (
+        "import fracheat, scipy.linalg.lapack as lapack; from fracheat import solver; "
+        "print(lapack.dgttrf is solver.lapack.dgttrf, lapack.dgttrs is solver.lapack.dgttrs, "
+        "lapack._flapack is solver.lapack)"
+    )
+    assert _fresh_python(code).split() == ["True"] * 3
+
+
+def test_lapack_module_already_imported_is_reused():
+    code = (
+        "import sys, scipy.linalg, fracheat; from fracheat import solver; "
+        "print(solver.lapack is sys.modules['scipy.linalg._flapack'])"
+    )
+    assert _fresh_python(code).strip() == "True"
+
+
+_SOLVE_DIGEST = """
+import hashlib
+from fracheat import AlphaParam, Coefficients, GridSpec, SchemeKind, manufactured_case, solve, solver
+digest = hashlib.sha256()
+for scheme, variant in ((SchemeKind.ORDER2, Coefficients.VARIABLE_XT), (SchemeKind.COMPACT4, Coefficients.TIME_ONLY)):
+    case = manufactured_case(AlphaParam(0.5), variant)
+    digest.update(solve(case.problem, GridSpec(N=12, M=8), case.alpha, scheme).layers.tobytes())
+print(solver.lapack.__name__, digest.hexdigest())
+"""
+
+_NO_SPEC = """
+from importlib.machinery import PathFinder
+real = PathFinder.find_spec
+def first_lookup_finds_nothing(name, path=None, target=None):
+    if name != "scipy.linalg._flapack":
+        return real(name, path, target)
+    PathFinder.find_spec = classmethod(real.__func__)  # the fallback's own import finds it
+    return None
+PathFinder.find_spec = first_lookup_finds_nothing
+"""
+
+
+def test_fallback_to_scipy_linalg_lapack_gives_the_same_layers():
+    name, loaded = _fresh_python(_SOLVE_DIGEST).split()
+    fallback_name, fallback = _fresh_python(_NO_SPEC + _SOLVE_DIGEST).split()
+    assert (name, fallback_name) == ("scipy.linalg._flapack", "scipy.linalg.lapack")
+    assert fallback == loaded

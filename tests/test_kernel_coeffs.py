@@ -1,6 +1,7 @@
 """Coefficient families a_l, b_l, c_s and their lemma-level properties."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -60,6 +61,23 @@ def test_b_coeff_matches_textbook_form_where_it_is_accurate():
                 (l + 1) ** (1 - a) + l ** (1 - a)
             )
             assert b_coeff(l, alpha) == pytest.approx(plain, abs=1e-13)
+
+
+@pytest.mark.parametrize("a, bound", [(0.05, 4.7e-13), (0.1, 3.0e-13), (0.5, 3.6e-15), (0.9, 3.8e-17)])
+def test_b_coeff_within_its_stated_error_of_40_digit_decimal(a, bound):
+    # the absolute errors the b_coeff docstring states, with 10 % slack; alpha
+    # enters the oracle as the exact value of its double
+    ls = np.unique(np.round(np.logspace(0, 4, 41))).astype(int)
+    got = b_coeff(ls, AlphaParam(a))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        d = Decimal(a)
+        worst = 0.0
+        for l, g in zip(ls.tolist(), got.tolist()):
+            lo, hi = Decimal(l), Decimal(l + 1)
+            exact = (hi ** (2 - d) - lo ** (2 - d)) / (2 - d) - (hi ** (1 - d) + lo ** (1 - d)) / 2
+            worst = max(worst, float(abs(Decimal(g) - exact)))
+    assert worst <= 1.1 * bound
 
 
 def test_b_coeff_vanishes_monotonically_for_large_l():

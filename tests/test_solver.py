@@ -18,7 +18,9 @@ from fracheat import (
     apply_compact_H,
     apply_lambda,
     c_weights,
+    convergence_order,
     manufactured_case,
+    measure_errors,
     norm_L2,
     norm_grad,
     solve,
@@ -26,6 +28,7 @@ from fracheat import (
 )
 import fracheat.solver as solver_module
 from fracheat.kernel import _HistoryWeights, _l2_bulk, _l2_ends, _l2_weights, a_coeff, b_coeff
+from sine_cases import sine_case
 
 
 def constant_coefficient_problem(f=None, u0=None, q_const=0.0):
@@ -424,6 +427,26 @@ def test_bootstrap_accuracy_order():
         errs.append(norm_L2(y1 - exact, grid.h))
     orders = [math.log2(e1 / e2) for e1, e2 in zip(errs, errs[1:])]
     assert min(orders) >= 2.4
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+@pytest.mark.parametrize("a", (0.3, 0.7))
+def test_bootstrap_error_falls_at_order_three_minus_alpha(scheme, a):
+    # u = sin(pi x)(1 + t^2) has no spatial error on any grid, and L2's
+    # quadratic interpolation is exact on 1 + t^2, so what is left is the
+    # L1 bootstrap's error.  Both schemes read 2.5e-5, 6.4e-7 and 1.5e-8 at
+    # alpha = 0.3 (orders 2.64, 2.70) and 1.6e-4, 4.5e-6 and 1.0e-7 at 0.7
+    # (2.58, 2.74).
+    alpha = AlphaParam(a)
+    g = lambda t: 1.0 + t * t
+    caputo_g = lambda t: 2.0 * t ** (2.0 - a) / math.gamma(3.0 - a)
+    errs = []
+    for m_steps in (10, 40, 160):
+        grid = GridSpec(N=32, M=m_steps)
+        problem, u_exact = sine_case(alpha, g, caputo_g, scheme, grid)
+        errs.append(measure_errors(solve(problem, grid, alpha, scheme), u_exact).err_L2)
+    orders = [convergence_order(e1, e2, 4.0, 1.0) for e1, e2 in zip(errs, errs[1:])]
+    assert min(orders) >= 3.0 - a - 0.1, (errs, orders)
 
 
 # ----------------------------------------------------------------- stepping
