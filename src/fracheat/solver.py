@@ -47,10 +47,12 @@ def _load_flapack():
     ``dgttrf`` is the very object found here.  The module is registered in
     ``sys.modules`` under its full name before it runs, so a later
     ``import scipy.linalg`` reuses it instead of initialising the extension
-    twice; one already there is reused.  ``import scipy`` alone is cheap and
-    sets up the shared-library paths the extension needs on some platforms.
-    Where no such extension sits in scipy's ``linalg`` directory,
-    ``scipy.linalg.lapack`` itself is used.
+    twice; one already there is reused.  Registered this way it is not an
+    attribute of ``scipy.linalg``: ``from scipy.linalg import _flapack``
+    reaches it, ``scipy.linalg._flapack`` does not.  ``import scipy`` alone
+    is cheap and sets up the shared-library paths the extension needs on
+    some platforms.  Where no such extension sits in scipy's ``linalg``
+    directory, ``scipy.linalg.lapack`` itself is used.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:

@@ -13,16 +13,17 @@ import math
 
 import numpy as np
 
-from fracheat import AlphaParam, Coefficients, DiffusionProblem, GridSpec, SchemeKind
+from fracheat import Coefficients, DiffusionProblem, GridSpec, SchemeKind
 
 
-def sine_case(alpha: AlphaParam, g, caputo_g, scheme: SchemeKind, grid: GridSpec):
+def sine_case(g, caputo_g, scheme: SchemeKind, grid: GridSpec):
     """(problem, u_exact) for u = sin(pi x) g(t) on ``grid``, with k = 1 + t and q = t.
 
-    ``caputo_g(t)`` is the Caputo derivative of order alpha of g.  The
-    order2 scheme solves D y - k delta^2 y + q y = f and compact4
-    H D y - k delta^2 y + q H y = H f, so f = sin(pi x) (D g + (k lambda_h + q) g)
-    for order2, with lambda_h / mu_h in place of lambda_h for compact4.
+    ``caputo_g(t)`` is the Caputo derivative of g of the order being
+    solved.  The order2 scheme solves D y - k delta^2 y + q y = f and
+    compact4 H D y - k delta^2 y + q H y = H f, so
+    f = sin(pi x) (D g + (k lambda_h + q) g) for order2, with
+    lambda_h / mu_h in place of lambda_h for compact4.
     """
     s2 = math.sin(math.pi * grid.h / 2.0) ** 2
     lam = 4.0 * s2 / (grid.h * grid.h)

@@ -443,7 +443,7 @@ def test_bootstrap_error_falls_at_order_three_minus_alpha(scheme, a):
     errs = []
     for m_steps in (10, 40, 160):
         grid = GridSpec(N=32, M=m_steps)
-        problem, u_exact = sine_case(alpha, g, caputo_g, scheme, grid)
+        problem, u_exact = sine_case(g, caputo_g, scheme, grid)
         errs.append(measure_errors(solve(problem, grid, alpha, scheme), u_exact).err_L2)
     orders = [convergence_order(e1, e2, 4.0, 1.0) for e1, e2 in zip(errs, errs[1:])]
     assert min(orders) >= 3.0 - a - 0.1, (errs, orders)
