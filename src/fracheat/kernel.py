@@ -223,10 +223,21 @@ def bar_weights(j: int, alpha: AlphaParam) -> np.ndarray:
     """Truncated weights: bar_c_0 = bar_c_1 = c_2, bar_c_s = c_s for s >= 2."""
     if j < 2:
         raise ValueError(f"bar weights reference c_2 and need j >= 2, got j={j}")
-    c = c_weights(j, alpha)
-    c[0] = c[2]
-    c[1] = c[2]
-    return c
+    return _bar_from(c_weights(j, alpha))
+
+
+def _bar_from(c: np.ndarray) -> np.ndarray:
+    """The bar weights of the L2 weights c_0..c_j (j >= 2), as a new array."""
+    bar = c.copy()
+    bar[:2] = c[2]
+    return bar
+
+
+def _l2_sum(c: np.ndarray, values: np.ndarray, tau: float, alpha: AlphaParam) -> float:
+    """The L2 formula with the weights c_0..c_j at t_{j+1}, from the samples values[0..j+1]."""
+    du = np.diff(values[: c.size + 1])
+    # c_{j-s} pairs with the forward difference at s, hence the reversal
+    return tau ** (-alpha.alpha) / alpha.gamma_2ma * float(c[::-1] @ du)
 
 
 def l2_caputo(u: TimeSeries, j: int, alpha: AlphaParam) -> float:
@@ -235,10 +246,7 @@ def l2_caputo(u: TimeSeries, j: int, alpha: AlphaParam) -> float:
         raise ValueError(f"the L2 formula needs j >= 1, got j={j}")
     if u.values.size < j + 2:
         raise ValueError(f"series too short: need {j + 2} samples, have {u.values.size}")
-    c = c_weights(j, alpha)
-    du = np.diff(u.values[: j + 2])
-    # c_{j-s} pairs with the forward difference at s, hence the reversal
-    return u.tau ** (-alpha.alpha) / alpha.gamma_2ma * float(c[::-1] @ du)
+    return _l2_sum(c_weights(j, alpha), u.values, u.tau, alpha)
 
 
 def l1_caputo(u: NonuniformTimeSeries, alpha: AlphaParam) -> float:

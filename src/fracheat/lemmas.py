@@ -17,8 +17,10 @@ from .analysis import norm_L2
 from .kernel import (
     AlphaParam,
     TimeSeries,
+    _bar_from,
     _l2_bulk,
     _l2_ends,
+    _l2_sum,
     _l2_weights,
     a_coeff,
     b_coeff,
@@ -204,10 +206,10 @@ def check_history_energy_inequality(trials: int = 1000, seed: int = 20241) -> Ch
         v = rng.uniform(-3.0, 3.0, size=n)
         tau = float(rng.uniform(0.01, 1.0))
         j = n - 2
-        c = c_weights(j, alpha)
+        c = c_weights(j, alpha)  # one table per trial, read by the L2 sum and the bar weights
         rho = tau ** (-a) / alpha.gamma_2ma
-        lhs = v[j + 1] * l2_caputo(TimeSeries(v, tau), j, alpha)
-        bc = bar_weights(j, alpha)
+        lhs = v[j + 1] * _l2_sum(c, v, tau, alpha)
+        bc = _bar_from(c)
         bar_d = rho * float(bc[::-1] @ np.diff(v * v))
         e_new = energy_E(v[j + 1], v[j], c[0] - c[2], c[1] - c[2])
         e_old = energy_E(v[j], v[j - 1], c[0] - c[2], c[1] - c[2])

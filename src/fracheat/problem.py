@@ -201,10 +201,10 @@ def manufactured_case(
     else:
 
         def k(x, t):
-            return (2.0 - np.cos(t)) * np.ones_like(np.asarray(x, dtype=float))
+            return np.full(np.shape(x), 2.0 - np.cos(t))
 
         def q(x, t):
-            return (1.0 - np.sin(t)) * np.ones_like(np.asarray(x, dtype=float))
+            return np.full(np.shape(x), 1.0 - np.sin(t))
 
         def k_x(x, t):
             return 0.0

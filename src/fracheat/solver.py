@@ -93,9 +93,9 @@ class TridiagonalSystem:
         n = self.diag.size
         if n < 1:
             raise ValueError("empty system")
-        shapes = [a.shape for a in (self.lower, self.diag, self.upper, self.rhs)]
-        if shapes != [(n - 1,), (n,), (n - 1,), (n,)]:
-            raise ValueError(f"lower, diag, upper, rhs must be 1-D of sizes n-1, n, n-1, n; got shapes {shapes}")
+        shapes = (self.lower.shape, self.diag.shape, self.upper.shape, self.rhs.shape)
+        if shapes != ((n - 1,), (n,), (n - 1,), (n,)):
+            raise ValueError(f"lower, diag, upper, rhs must be 1-D of sizes n-1, n, n-1, n; got shapes {list(shapes)}")
 
 
 def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
@@ -114,9 +114,9 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
 
     A pivot of U at or below 1e-15 of the largest |diag|, which for the
     systems assembled here means lost diagonal dominance, raises
-    ``ZeroDivisionError`` naming its row, before the solve.  scipy's dgttrf
-    wrapper rejects n <= 2, so those systems get 3 - n decoupled unit rows
-    appended.
+    ``ZeroDivisionError`` naming the first such row, before the solve.
+    scipy's dgttrf wrapper rejects n <= 2, so those systems get 3 - n
+    decoupled unit rows appended.
     """
     n = sys.diag.size
     lower, diag, upper, rhs = sys.lower, sys.diag, sys.upper, sys.rhs
@@ -124,9 +124,10 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
         pad = np.zeros(3 - n)
         lower, diag, upper, rhs = np.r_[lower, pad], np.r_[diag, pad + 1.0], np.r_[upper, pad], np.r_[rhs, pad]
     c, p, l, l2, ipiv, _ = lapack.dgttrf(upper, diag, lower)
-    small = np.flatnonzero(np.abs(p[:n]) <= 1e-300 + 1e-15 * np.abs(sys.diag).max())
-    if small.size:
-        raise ZeroDivisionError(f"zero pivot in tridiagonal elimination (row {small[0]})")
+    pivots = np.abs(p[:n])
+    floor = 1e-300 + 1e-15 * np.maximum.reduce(np.abs(sys.diag))
+    if np.minimum.reduce(pivots) <= floor:  # the row is searched for only then
+        raise ZeroDivisionError(f"zero pivot in tridiagonal elimination (row {np.flatnonzero(pivots <= floor)[0]})")
     x, _ = lapack.dgttrs(c, p, l, l2, ipiv, rhs, trans="T")
     return x[:n]
 

@@ -18,7 +18,15 @@ from fracheat import (
     run_experiment,
     solve,
 )
-from fracheat.analysis import sci6, solve_manufactured, tables_to_csv, tables_to_markdown
+from fracheat.analysis import (
+    ErrorReport,
+    _row_sums_of_squares,
+    sci6,
+    solve_manufactured,
+    tables_to_csv,
+    tables_to_markdown,
+)
+from fracheat.solver import SolutionHistory
 from fracheat.baselines import (
     BASELINE_TABLE1,
     BASELINE_TABLE3,
@@ -131,6 +139,86 @@ def test_error_report_norm_comparison():
     report = measure_errors(hist, case.u_exact)
     assert report.err_L2 <= math.sqrt(1.0) * report.err_C + 1e-15
     assert report.err_C >= 0.0
+
+
+def _measure_errors_by_layers(history, u_exact):
+    # the error measurement one layer at a time, through norm_L2 and norm_grad
+    grid = history.grid
+    x = grid.x_nodes()
+    h = grid.h
+    err_l2 = err_c = err_grad = 0.0
+    for jj, t in enumerate(grid.t_nodes()):
+        z = history.layers[jj] - np.asarray(u_exact(x, t), dtype=float)
+        err_c = max(err_c, float(np.max(np.abs(z))))
+        err_l2 = max(err_l2, norm_L2(z, h))
+        err_grad = max(err_grad, norm_grad(z, h))
+    return ErrorReport(err_L2=err_l2, err_C=err_c, err_grad=err_grad)
+
+
+class _RecordingExact:
+    """u_exact of a case, recording the t of each call."""
+
+    def __init__(self, u_exact):
+        self.u_exact = u_exact
+        self.times = []
+
+    def __call__(self, x, t):
+        self.times.append(t)
+        return self.u_exact(x, t)
+
+
+# (N, M): N = 2; 401 layers in blocks of 8192 // 21 = 390 rows, the last one
+# short; blocks of two 4096-node rows, the last one short; one-row blocks
+_BLOCK_GRIDS = [(2, 7), (20, 400), (4095, 6), (9000, 4)]
+
+
+@pytest.mark.parametrize("n_sub, m_steps", _BLOCK_GRIDS)
+@pytest.mark.parametrize("scheme", [SchemeKind.ORDER2, SchemeKind.COMPACT4])
+def test_measure_errors_matches_the_layer_loop(scheme, n_sub, m_steps):
+    alpha = AlphaParam(0.4)
+    variant = Coefficients.TIME_ONLY if scheme is SchemeKind.COMPACT4 else Coefficients.VARIABLE_XT
+    case = manufactured_case(alpha, variant)
+    grid = GridSpec(N=n_sub, M=m_steps)
+    history = solve(case.problem, grid, alpha, scheme)
+    exact = _RecordingExact(case.u_exact)
+    assert measure_errors(history, exact) == _measure_errors_by_layers(history, case.u_exact)
+    assert len(exact.times) == m_steps + 1
+    assert np.array(exact.times).tobytes() == grid.t_nodes().tobytes()
+
+
+@pytest.mark.parametrize("n_sub, m_steps", _BLOCK_GRIDS)
+def test_measure_errors_matches_the_layer_loop_on_random_layers(n_sub, m_steps):
+    # the largest error of each norm falls in a different layer each time
+    grid = GridSpec(N=n_sub, M=m_steps)
+    rng = np.random.default_rng(n_sub)
+    case = manufactured_case(AlphaParam(0.6))
+    for _ in range(5):
+        layers = rng.standard_normal((m_steps + 1, n_sub + 1)) * rng.uniform(0.0, 2.0, (m_steps + 1, 1))
+        history = SolutionHistory(layers=layers, grid=grid)
+        assert measure_errors(history, case.u_exact) == _measure_errors_by_layers(history, case.u_exact)
+
+
+def test_measure_errors_reports_a_nan_layer():
+    # a NaN in one layer makes every norm it enters NaN, whichever block it is in
+    grid = GridSpec(N=20, M=400)
+    case = manufactured_case(AlphaParam(0.5))
+    exact = np.array([case.u_exact(grid.x_nodes(), t) for t in grid.t_nodes()])
+    for layer in (0, 389, 390, 400):
+        layers = exact.copy()
+        layers[layer, 7] = np.nan
+        report = measure_errors(SolutionHistory(layers=layers, grid=grid), case.u_exact)
+        assert math.isnan(report.err_L2) and math.isnan(report.err_C) and math.isnan(report.err_grad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 11, 13, 1000, 8191, 50001])
+def test_stacked_dots_are_the_row_dots(n):
+    # measure_errors' sums of squares must be np.dot's, bit for bit, on rows
+    # strided as a block's interior and as its differences
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((3, n + 2))
+    for rows in (block[:, 1:-1], np.diff(block, axis=1) / 0.37):
+        want = np.array([np.dot(r, r) for r in rows])
+        assert _row_sums_of_squares(rows).ravel().tobytes() == want.tobytes()
 
 
 def test_sci6_format():

@@ -62,6 +62,39 @@ def test_history_energy_inequality_randomized():
     assert result.passed, result.detail
 
 
+def _history_energy_check_by_public_weights(trials: int, seed: int) -> CheckResult:
+    # the history-energy check through the public c_weights, l2_caputo and
+    # bar_weights, each building its own weights, with the same draws in the
+    # same order
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for _ in range(trials):
+        a = float(rng.uniform(0.02, 0.98))
+        alpha = AlphaParam(a)
+        n = int(rng.integers(4, 51))
+        v = rng.uniform(-3.0, 3.0, size=n)
+        tau = float(rng.uniform(0.01, 1.0))
+        j = n - 2
+        c = c_weights(j, alpha)
+        rho = tau ** (-a) / alpha.gamma_2ma
+        lhs = v[j + 1] * l2_caputo(TimeSeries(v, tau), j, alpha)
+        bc = bar_weights(j, alpha)
+        bar_d = rho * float(bc[::-1] @ np.diff(v * v))
+        e_new = energy_E(v[j + 1], v[j], c[0] - c[2], c[1] - c[2])
+        e_old = energy_E(v[j], v[j - 1], c[0] - c[2], c[1] - c[2])
+        gap = lhs - (rho * (e_new - e_old) + 0.5 * bar_d)
+        scale = max(1.0, abs(lhs), rho * abs(e_new), rho * abs(e_old))
+        worst = min(worst, gap / scale)
+    return CheckResult("history energy inequality", worst >= -1e-12, f"worst scaled gap {worst:.3e}")
+
+
+@pytest.mark.parametrize("trials, seed", [(1000, 20241), (300, 98), (200, 0), (50, 7)])
+def test_history_energy_check_matches_the_public_weights(trials, seed):
+    assert check_history_energy_inequality(trials=trials, seed=seed) == _history_energy_check_by_public_weights(
+        trials, seed
+    )
+
+
 def test_history_energy_inequality_explicit_case():
     # one fully written-out instance of the level inequality
     alpha = AlphaParam(0.6)

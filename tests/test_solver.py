@@ -212,6 +212,25 @@ def test_thomas_near_zero_pivot_raises_on_the_lapack_path(row):
         thomas_solve(sys)
 
 
+@pytest.mark.parametrize("first, second", [(0, 7), (2, 5), (3, 4)])
+def test_thomas_names_the_first_of_two_small_pivots(first, second):
+    # two pivots under the floor, each built as in the test above: the
+    # message names the first, the row a sweep would meet first
+    n = 8
+    lower, upper = np.full(n - 1, 0.5), np.full(n - 1, 0.5)
+    diag = np.full(n, 4.0)
+    for row in (first, second):
+        if row < n - 1:
+            upper[row] = 0.0
+        diag[row] = (lower[row - 1] * _multiplier_into(lower, diag, upper, row) if row else 0.0) + 1.6e-15
+    for row in (first, second):
+        pivot = diag[row] - (lower[row - 1] * _multiplier_into(lower, diag, upper, row) if row else 0.0)
+        assert 0.0 < pivot < 1e-15 * 4.0
+    sys = TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=np.ones(n))
+    with pytest.raises(ZeroDivisionError, match=re.escape(f"zero pivot in tridiagonal elimination (row {first})")):
+        thomas_solve(sys)
+
+
 def _reference_thomas(lower, diag, upper, rhs):
     """The original row-by-row Thomas loop, pivot check inside the sweep."""
     n = len(diag)
@@ -402,8 +421,23 @@ def test_compact_system_diagonally_dominant():
 
 
 def test_bootstrap_substep_count_rule():
-    # tau=1/10, alpha=0.5 -> ceil(10^(1/1.5)) = 5 substeps
-    assert math.ceil(10.0 ** (1.0 / 1.5)) == 5
+    # the bootstrap takes M1 = ceil(M^(1/(2-alpha))) substeps over [0, tau];
+    # f is evaluated once per level at its new time, so the calls before
+    # 1.5 tau are the substeps (t <= tau) and no main level (t >= 2 tau)
+    for m_steps, a, substeps in ((10, 0.5, 5), (40, 0.9, 29), (80, 0.3, 14)):
+        assert substeps == math.ceil(m_steps ** (1.0 / (2.0 - a)))
+        alpha = AlphaParam(a)
+        case = manufactured_case(alpha)
+        grid = GridSpec(N=6, M=m_steps)
+        times = []
+
+        def f(x, t):
+            times.append(t)
+            return case.problem.f(x, t)
+
+        solve(dataclasses.replace(case.problem, f=f), grid, alpha)
+        assert sum(t < 1.5 * grid.tau for t in times) == substeps, (m_steps, a)
+        assert len(times) == substeps + m_steps - 1, (m_steps, a)
 
 
 def test_bootstrap_preserves_zero_solution():
