@@ -156,53 +156,24 @@ def _l2_ends(j, a: np.ndarray, b: np.ndarray) -> tuple:
     return a[j - 1] + b[j - 1] + b[j] - back, a[j] - b[j] - b[j - 1]
 
 
-def _l2_weights(j: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """c_0..c_j at level j+1 (j >= 1) from a_0..a_j and b_0..b_j.
+def _l2_levels(a: np.ndarray, b: np.ndarray) -> Callable[[int], np.ndarray]:
+    """The L2 weights of every level that a_0.. and b_0.. reach: ``level(j)``
+    gives c_0..c_j at level j+1 (1 <= j < len(a)) as a new array.
 
-    Only the first j+1 entries of ``a`` and ``b`` are read, so one pair of
-    coefficient arrays serves every level up to its length.  One rule holds
-    for every j >= 1: the bulk rule (``_l2_bulk``) with its last two entries
-    replaced by ``_l2_ends``.  So the bits do not depend on which case a
-    level falls in.
+    One rule holds for every j >= 1: the bulk rule (``_l2_bulk``), formed
+    once here, with its last two entries replaced by ``_l2_ends``.  Each
+    entry reads only its own index and the ones just before it, so a
+    level's bits depend neither on which case it falls in nor on how long
+    ``a`` and ``b`` are.
     """
-    c = _l2_bulk(a[: j + 1], b[: j + 1])
-    c[j - 1], c[j] = _l2_ends(j, a, b)
-    return c
+    bulk = _l2_bulk(a, b)
 
+    def level(j: int) -> np.ndarray:
+        c = bulk[: j + 1].copy()
+        c[j - 1], c[j] = _l2_ends(j, a, b)
+        return c
 
-class _HistoryWeights:
-    """The weights of every level of one march, ready for the history sum.
-
-    Level j weighs the increments of the layers with w_0..w_j: the bulk
-    weights ``bulk`` with their last entries replaced by ``ends(j)`` (none for
-    the L1 weights a_s, ``_l2_ends`` for the L2 weights c_s).  Summed by
-    parts, the history w_0 y^j - sum_{s<j} w_{j-s} (y^{s+1} - y^s) is
-    sum_s kappa_s y^s with kappa_0 = w_j and kappa_s = w_{j-s} - w_{j-s+1},
-    the entries of np.diff(w[j::-1], prepend=0.0).  Past the replaced
-    entries, every kappa_s is a difference of two bulk weights, and those do
-    not depend on j.  So they are subtracted once, into one reversed table,
-    and each level copies its tail from one slice of it; only the first
-    len(ends(j)) + 1 entries are formed per level, by the same subtractions.
-    """
-
-    def __init__(self, bulk: np.ndarray, ends: Callable[[int], tuple] = lambda j: ()) -> None:
-        self._bulk = bulk
-        self._ends = ends
-        self._diffs = (bulk[:-1] - bulk[1:])[::-1].copy()  # w_s - w_{s+1}, last s first
-        self._kappa = np.empty(bulk.size)
-
-    def __call__(self, j: int) -> tuple[float, np.ndarray]:
-        """w_0 and kappa_0..kappa_j of level j; the next call overwrites kappa."""
-        ends = self._ends(j)
-        # w_{j+1-n}..w_j: the replaced weights and the bulk weight before them, if any
-        last = ends if j < len(ends) else (self._bulk[j - len(ends)], *ends)
-        n = len(last)
-        kappa = self._kappa[: j + 1]
-        kappa[0] = last[-1]
-        for s in range(1, n):
-            kappa[s] = last[-1 - s] - last[-s]
-        kappa[n:] = self._diffs[self._diffs.size - (j + 1 - n):]
-        return (last[0] if n > j else self._bulk[0]), kappa
+    return level
 
 
 def c_weights(j: int, alpha: AlphaParam) -> np.ndarray:
@@ -216,7 +187,7 @@ def c_weights(j: int, alpha: AlphaParam) -> np.ndarray:
             "the first layer is handled by the L1 bootstrap"
         )
     idx = np.arange(j + 1)
-    return _l2_weights(j, a_coeff(idx, alpha), b_coeff(idx, alpha))
+    return _l2_levels(a_coeff(idx, alpha), b_coeff(idx, alpha))(j)
 
 
 def bar_weights(j: int, alpha: AlphaParam) -> np.ndarray:

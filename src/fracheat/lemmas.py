@@ -18,10 +18,9 @@ from .kernel import (
     AlphaParam,
     TimeSeries,
     _bar_from,
-    _l2_bulk,
     _l2_ends,
+    _l2_levels,
     _l2_sum,
-    _l2_weights,
     a_coeff,
     b_coeff,
     bar_weights,
@@ -129,18 +128,19 @@ def check_c_chain(alphas=ALPHA_GRID, j_max: int = J_MAX) -> CheckResult:
     rule, then the two end weights.  Its steps are the bulk steps, which all
     levels share (those of the deepest level contain every shallower
     level's), and the two steps into the end weights of each level.  So each
-    step is formed once; j = 2, 3, where c_2 is an end weight, are taken
-    whole.
+    step is formed once, the bulk steps from the weights of the deepest
+    level; j = 2, 3, where c_2 is an end weight, are taken whole.
     """
     worst = np.inf
     j = np.arange(4, j_max + 1)
     for a in alphas:
         av, bv = _coefficients(a, j_max)
+        levels = _l2_levels(av, bv)
         for j_small in range(2, min(j_max, 3) + 1):
-            c = _l2_weights(j_small, av, bv)
+            c = levels(j_small)
             worst = min(worst, float(np.min(-np.diff(np.concatenate(([c[0]], c[2:]))))))
         if j.size:
-            bulk = _l2_bulk(av, bv)
+            bulk = levels(j_max)  # entries 0..j_max-2 are the bulk weights
             c_jm1, c_j = _l2_ends(j, av, bv)
             steps = (-np.diff(bulk[[0, 2]]), -np.diff(bulk[2 : j_max - 1]), -(c_jm1 - bulk[j - 2]), -(c_j - c_jm1))
             worst = min(worst, float(np.min(np.concatenate(steps))))
@@ -158,9 +158,9 @@ def check_c_positivity_combo(alphas=ALPHA_GRID, j_max: int = J_MAX) -> CheckResu
         alpha = AlphaParam(a)
         c1 = c_weights(1, alpha)
         worst = min(worst, c1[0] + 3.0 * c1[1])
-        av, bv = _coefficients(a, j_max)
+        levels = _l2_levels(*_coefficients(a, j_max))
         for j in range(2, min(j_max, 4) + 1):
-            c = _l2_weights(j, av, bv)
+            c = levels(j)
             worst = min(worst, c[0] + 3.0 * c[1] - 4.0 * c[2])
     return CheckResult("c_0+3c_1-4c_2 positivity", worst > 0.0, f"worst value {worst:.3e}")
 
@@ -209,8 +209,7 @@ def check_history_energy_inequality(trials: int = 1000, seed: int = 20241) -> Ch
         c = c_weights(j, alpha)  # one table per trial, read by the L2 sum and the bar weights
         rho = tau ** (-a) / alpha.gamma_2ma
         lhs = v[j + 1] * _l2_sum(c, v, tau, alpha)
-        bc = _bar_from(c)
-        bar_d = rho * float(bc[::-1] @ np.diff(v * v))
+        bar_d = _l2_sum(_bar_from(c), v * v, tau, alpha)
         e_new = energy_E(v[j + 1], v[j], c[0] - c[2], c[1] - c[2])
         e_old = energy_E(v[j], v[j - 1], c[0] - c[2], c[1] - c[2])
         gap = lhs - (rho * (e_new - e_old) + 0.5 * bar_d)

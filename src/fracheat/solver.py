@@ -7,9 +7,10 @@ f + rho * hist, and the spatial operator makes the implicit matrix
 tridiagonal.  compact4 also applies the fourth-order averaging ``H`` to the
 time derivative and to f: its matrix is ``H``-scaled, and ``H``, being
 linear, acts once per level on the right-hand side.  The loop runs twice per
-solve: first with the L1 weights ``a_s`` on a refined subgrid of [0, tau],
-which bootstraps the first layer (the quadratic-interpolation weights need
-three time points), then with the L2 weights ``c_s`` on the main grid.
+solve, with a callable giving each level's weights: first the L1 weights
+``a_s`` on a refined subgrid of [0, tau], which bootstraps the first layer
+(the quadratic-interpolation weights need three time points), then the L2
+weights ``c_s`` (``kernel._l2_levels``) on the main grid.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy
 
-from .kernel import AlphaParam, _HistoryWeights, _l2_bulk, _l2_ends, a_coeff, b_coeff
+from .kernel import AlphaParam, _l2_levels, a_coeff, b_coeff
 from .problem import Coefficients, DiffusionProblem, GridSpec
 
 __all__ = [
@@ -112,11 +114,14 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     backward stable, and it solves systems the sweep cannot, such as
     [[2, 4, 0], [1, 2, 2], [0, 4, 2]].
 
-    A pivot of U at or below 1e-15 of the largest |diag|, which for the
-    systems assembled here means lost diagonal dominance, raises
-    ``ZeroDivisionError`` naming the first such row, before the solve.
-    scipy's dgttrf wrapper rejects n <= 2, so those systems get 3 - n
-    decoupled unit rows appended.
+    A NaN or an infinity in any of the four arrays raises ``ValueError``
+    naming the array and its first such index; it makes the pivot floor or
+    a pivot non-finite, or shows in sum_i |p_i| x_i, and only then are the
+    entries searched.  Otherwise a pivot of U at or below 1e-15 of the
+    largest |diag|, which for the systems assembled here means lost diagonal
+    dominance, raises ``ZeroDivisionError`` naming the first such row,
+    before the solve.  scipy's dgttrf wrapper rejects n <= 2, so those
+    systems get 3 - n decoupled unit rows appended.
     """
     n = sys.diag.size
     lower, diag, upper, rhs = sys.lower, sys.diag, sys.upper, sys.rhs
@@ -126,10 +131,22 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     c, p, l, l2, ipiv, _ = lapack.dgttrf(upper, diag, lower)
     pivots = np.abs(p[:n])
     floor = 1e-300 + 1e-15 * np.maximum.reduce(np.abs(sys.diag))
-    if np.minimum.reduce(pivots) <= floor:  # the row is searched for only then
-        raise ZeroDivisionError(f"zero pivot in tridiagonal elimination (row {np.flatnonzero(pivots <= floor)[0]})")
-    x, _ = lapack.dgttrs(c, p, l, l2, ipiv, rhs, trans="T")
-    return x[:n]
+    if not np.minimum.reduce(pivots) > floor:
+        _require_finite(sys)
+        raise ZeroDivisionError(f"zero pivot in tridiagonal elimination (row {np.flatnonzero(~(pivots > floor))[0]})")
+    x = lapack.dgttrs(c, p, l, l2, ipiv, rhs, trans="T")[0][:n]
+    if not math.isfinite(np.dot(pivots, x)):
+        _require_finite(sys)
+    return x
+
+
+def _require_finite(sys: TridiagonalSystem) -> None:
+    """Raise ``ValueError`` naming the first NaN or infinite entry of the system, if it has one."""
+    for name in ("lower", "diag", "upper", "rhs"):
+        v = getattr(sys, name)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(f"tridiagonal system has a non-finite entry: {name}[{bad[0]}] = {v[bad[0]]}")
 
 
 def _evaluate(problem: DiffusionProblem, name: str, nodes: np.ndarray, t: float) -> np.ndarray:
@@ -208,6 +225,16 @@ class SolutionHistory:
     grid: GridSpec
 
 
+def _by_parts(w: np.ndarray) -> np.ndarray:
+    """kappa_0 = w_j and kappa_s = w_{j-s} - w_{j-s+1} of the weights w_0..w_j,
+    the bits of np.diff(w[::-1], prepend=0.0) by one subtraction into a new array."""
+    rev = w[::-1]
+    kappa = np.empty(w.size)
+    kappa[0] = rev[0]
+    np.subtract(rev[1:], rev[:-1], out=kappa[1:])
+    return kappa
+
+
 def _advance(
     problem: DiffusionProblem,
     grid: GridSpec,
@@ -216,19 +243,19 @@ def _advance(
     j: int,
     t_new: float,
     rho: float,
-    weights: _HistoryWeights,
+    weights: Callable[[int], np.ndarray],
     compact: bool,
 ) -> None:
     """Write the interior of layer j+1 from layers 0..j.
 
-    The time derivative at t_new is rho * (w_0 y^{j+1} - hist) with
+    With the level's weights w = weights(j), the time derivative at t_new is
+    rho * (w_0 y^{j+1} - hist) with
     hist = w_0 y^j - sum_{s=0}^{j-1} w_{j-s} (y^{s+1} - y^s), summed by parts
-    as one matrix-vector product of the level's kappa (see
-    ``_HistoryWeights``) with the contiguous layers 0..j, with no temporary
-    the size of the history.  For order2 the implicit matrix is
-    rho w_0 I - Lambda(t_new) and the right-hand side f + rho * hist; for
-    compact4 they are (rho w_0 + q) H - k D2, constant since k = k(t),
-    q = q(t), and H (f + rho * hist).  f, k and q come from ``_evaluate``,
+    as one matrix-vector product of ``_by_parts(w)`` with the contiguous
+    layers 0..j, with no temporary the size of the history.  For order2 the
+    implicit matrix is rho w_0 I - Lambda(t_new) and the right-hand side
+    f + rho * hist; for compact4 they are (rho w_0 + q) H - k D2, constant
+    since k = k(t), q = q(t), and H (f + rho * hist).  f, k and q come from ``_evaluate``,
     once per level, at ``nodes`` = (x_i, x_{i-1/2}), which ``_march`` builds
     once for all its levels.  The system is built in place, by the same
     operations in the same order as the plain expressions, so the bits are
@@ -237,15 +264,15 @@ def _advance(
     ``thomas_solve`` at each call, so a wrapper put there (a profiler's span,
     a test's reference sweep) sees every solve.
     """
-    w0, kappa = weights(j)
+    w = weights(j)
     x, x_half = nodes
-    rhs = kappa @ layers[: j + 1]
+    rhs = _by_parts(w) @ layers[: j + 1]
     rhs *= rho  # f + rho * hist
     rhs += _evaluate(problem, "f", x, t_new)
     a_half = _evaluate(problem, "k", x_half, t_new)
     d = _evaluate(problem, "q", x, t_new)[1:-1]
     h2 = grid.h * grid.h
-    coef = rho * w0
+    coef = rho * w[0]
     if compact:
         rhs = apply_compact_H(rhs)
         wd = coef + d[0]
@@ -268,13 +295,13 @@ def _march(
     first: int,
     tau: float,
     alpha: AlphaParam,
-    weights: _HistoryWeights,
+    weights: Callable[[int], np.ndarray],
     compact: bool,
 ) -> None:
     """Fill the interiors of layers[first+1:] in place at time step tau from
     layers[:first+1]; their boundary entries stay as they are, zero.
 
-    ``weights`` gives the weights of each level.  The node arrays are
+    ``weights(j)`` gives the weights w_0..w_j of level j.  The node arrays are
     read-only, so a field that writes to its x fails instead of moving the
     nodes of later levels.
     """
@@ -309,13 +336,11 @@ def solve(
     m1 = max(1, math.ceil((1.0 / grid.tau) ** (1.0 / (2.0 - alpha.alpha))))
     sub = np.zeros((m1 + 1, grid.N + 1))
     sub[0] = layers[0]
-    l1_weights = _HistoryWeights(a_coeff(np.arange(m1), alpha))
-    _march(problem, grid, sub, 0, grid.tau / m1, alpha, l1_weights, compact)
+    a_l1 = a_coeff(np.arange(m1), alpha)
+    _march(problem, grid, sub, 0, grid.tau / m1, alpha, lambda j: a_l1[: j + 1], compact)
     layers[1] = sub[m1]
     del sub
 
     idx = np.arange(grid.M)
-    a_s, b_s = a_coeff(idx, alpha), b_coeff(idx, alpha)
-    l2_weights = _HistoryWeights(_l2_bulk(a_s, b_s), lambda j: _l2_ends(j, a_s, b_s))
-    _march(problem, grid, layers, 1, grid.tau, alpha, l2_weights, compact)
+    _march(problem, grid, layers, 1, grid.tau, alpha, _l2_levels(a_coeff(idx, alpha), b_coeff(idx, alpha)), compact)
     return SolutionHistory(layers=layers, grid=grid)

@@ -8,7 +8,7 @@ import pytest
 
 from fracheat import AlphaParam, a_coeff, b_coeff, bar_weights, c_weights
 from fracheat import lemmas
-from fracheat.kernel import _l2_weights
+from fracheat.kernel import _l2_levels
 from fracheat.lemmas import (ALPHA_GRID, CheckResult, check_c_bounds, check_c_chain,
                              check_c_positivity_combo)
 
@@ -188,8 +188,9 @@ def _reference_c_checks(j_max, alphas=ALPHA_GRID, coefficients=_true_coefficient
         av, bv = coefficients(a, j_max)
         c1 = c_weights(1, alpha)
         combo = min(combo, c1[0] + 3.0 * c1[1])
+        levels = _l2_levels(av, bv)
         for j in range(2, j_max + 1):
-            c = _l2_weights(j, av, bv)
+            c = levels(j)
             lo = (11.0 / 16.0) * (1.0 - a) / (j + 1.0) ** a
             hi = (1.0 - a) / j**a
             bounds = min(bounds, c[j] - lo, hi - c[j])

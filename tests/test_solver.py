@@ -27,7 +27,7 @@ from fracheat import (
     thomas_solve,
 )
 import fracheat.solver as solver_module
-from fracheat.kernel import _HistoryWeights, _l2_bulk, _l2_ends, _l2_weights, a_coeff, b_coeff
+from fracheat.kernel import _l2_levels, a_coeff, b_coeff
 from sine_cases import sine_case
 
 
@@ -229,6 +229,26 @@ def test_thomas_names_the_first_of_two_small_pivots(first, second):
     sys = TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=np.ones(n))
     with pytest.raises(ZeroDivisionError, match=re.escape(f"zero pivot in tridiagonal elimination (row {first})")):
         thomas_solve(sys)
+
+
+_NON_FINITE_CASES = [
+    (n, name, index)
+    for n in (1, 2, 3, 8)
+    for name, size in (("lower", n - 1), ("diag", n), ("upper", n - 1), ("rhs", n))
+    for index in sorted({0, (size - 1) // 2, size - 1} if size else ())
+]
+
+
+@pytest.mark.parametrize("n, name, index", _NON_FINITE_CASES)
+def test_thomas_rejects_non_finite_entries(n, name, index):
+    # a NaN or an infinity at the first, a middle or the last entry of any
+    # array fails loudly and names that entry, whichever check sees it first:
+    # the pivot test or the solve; 1 and 2 rows take the padded branch
+    for value in (math.nan, math.inf, -math.inf):
+        arrays = dict(lower=np.full(n - 1, -1.0), diag=np.full(n, 4.0), upper=np.full(n - 1, -1.0), rhs=np.ones(n))
+        arrays[name][index] = value
+        with pytest.raises(ValueError, match=re.escape(f"non-finite entry: {name}[{index}] = {value}")):
+            thomas_solve(TridiagonalSystem(**arrays))
 
 
 def _reference_thomas(lower, diag, upper, rhs):
@@ -487,46 +507,49 @@ def test_bootstrap_error_falls_at_order_three_minus_alpha(scheme, a):
 
 
 def _weight_tables(alpha, size):
-    """The two weight tables a solve builds, each with the rule it stands for:
-    the L1 weights a_s at every level, and the L2 weights c_s of level j."""
+    """The two weight rules a solve marches with, each with the rule it stands
+    for: the L1 weights a_s at every level (as the bootstrap passes them,
+    slices of one longer array), and the L2 weights c_s of level j."""
     idx = np.arange(size)
     a, b = a_coeff(idx, alpha), b_coeff(idx, alpha)
     return [
-        (_HistoryWeights(a), lambda j: a[: j + 1]),
-        (_HistoryWeights(_l2_bulk(a, b), lambda j: _l2_ends(j, a, b)), lambda j: _l2_weights(j, a, b)),
+        (lambda j: a[: j + 1], lambda j: a[: j + 1]),
+        (_l2_levels(a, b), lambda j: _reference_l2_weights(j, a, b)),
     ]
 
 
 @pytest.mark.parametrize("j", [0, 1, 2, 3, 50])
 def test_history_by_parts_matches_difference_form(j):
-    # both weight tables the level loop reads: the L1 weights of the
+    # both weight rules the level loop reads: the L1 weights of the
     # bootstrap, longer than the level needs, and the L2 weights of level j
     rng = np.random.default_rng(100 + j)
     for a in (0.1, 0.5, 0.9):
         for table, rule in _weight_tables(AlphaParam(a), j + 4)[: 2 if j >= 1 else 1]:
             w = rule(j)
-            w0, kappa = table(j)
+            got = table(j)
+            kappa = solver_module._by_parts(got)
             mass = rng.standard_normal((j + 1, 33)) * 10.0 ** rng.uniform(-3.0, 3.0)
             diff_form = w[0] * mass[j] - sum(w[j - s] * (mass[s + 1] - mass[s]) for s in range(j))
             bound = 1e-13 * np.sum(np.abs(w[: j + 1])) * np.max(np.abs(mass))
-            assert w0 == w[0]
+            assert got[0] == w[0]
             assert np.max(np.abs(kappa @ mass - diff_form)) <= bound
 
 
 @pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_weight_tables_give_the_rules_kappa_bit_for_bit(a):
-    # every level of an M=2000 solve, j = 1 and j = 2 (kappa_2 reads the
-    # bulk c_0, or no bulk entry at all) among them
+    # every level of an M=2000 solve, j = 0 (L1 only), j = 1 and j = 2
+    # (kappa_2 reads the bulk c_0, or no bulk entry at all) among them; the
+    # kappa is the one _advance forms
     m = 2000
-    for table, rule in _weight_tables(AlphaParam(a), m):
+    for first, (table, rule) in enumerate(_weight_tables(AlphaParam(a), m)):
         levels = 0
-        for j in range(1, m):
+        for j in range(first, m):
             w = rule(j)
-            w0, kappa = table(j)
-            assert kappa.tobytes() == np.diff(w[j::-1], prepend=0.0).tobytes(), (a, j)
-            assert np.float64(w0).tobytes() == w[:1].tobytes(), (a, j)
-            levels += j in (1, 2)
-        assert levels == 2
+            got = table(j)
+            assert got.tobytes() == w.tobytes(), (a, j)
+            assert solver_module._by_parts(got).tobytes() == np.diff(w[j::-1], prepend=0.0).tobytes(), (a, j)
+            levels += j in (0, 1, 2)
+        assert levels == 3 - first
 
 
 def _reference_l2_weights(j, a, b):
@@ -552,8 +575,20 @@ def test_l2_weights_match_three_branch_rule_bit_for_bit():
     for a in (0.1, 0.5, 0.9):
         alpha = AlphaParam(a)
         av, bv = a_coeff(idx, alpha), b_coeff(idx, alpha)
+        levels = _l2_levels(av, bv)
         for j in range(1, 2001):
-            assert _l2_weights(j, av, bv).tobytes() == _reference_l2_weights(j, av, bv).tobytes(), (a, j)
+            assert levels(j).tobytes() == _reference_l2_weights(j, av, bv).tobytes(), (a, j)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+def test_l2_levels_do_not_depend_on_the_coefficient_length(a):
+    # c_weights passes exactly j+1 coefficients, the solver all M of them
+    idx = np.arange(2000)
+    alpha = AlphaParam(a)
+    av, bv = a_coeff(idx, alpha), b_coeff(idx, alpha)
+    long = _l2_levels(av, bv)
+    for j in range(1, 2000):
+        assert _l2_levels(av[: j + 1], bv[: j + 1])(j).tobytes() == long(j).tobytes(), (a, j)
 
 
 def _hand_history(c, m, j):
