@@ -157,14 +157,13 @@ def _l2_ends(j, a: np.ndarray, b: np.ndarray) -> tuple:
 
 
 def _l2_levels(a: np.ndarray, b: np.ndarray) -> Callable[[int], np.ndarray]:
-    """The L2 weights of every level that a_0.. and b_0.. reach: ``level(j)``
-    gives c_0..c_j at level j+1 (1 <= j < len(a)) as a new array.
+    """The L2 weights of each level that a and b reach: ``level(j)`` gives
+    c_0..c_j at level j+1 (1 <= j < len(a)) as a new array.
 
     One rule holds for every j >= 1: the bulk rule (``_l2_bulk``), formed
-    once here, with its last two entries replaced by ``_l2_ends``.  Each
-    entry reads only its own index and the ones just before it, so a
-    level's bits depend neither on which case it falls in nor on how long
-    ``a`` and ``b`` are.
+    once here, with its last two entries replaced by ``_l2_ends``.  Level j
+    reads only a_0..a_j and b_0..b_j, entry by entry, so its bits depend
+    neither on its case nor on the length of ``a`` and ``b``.
     """
     bulk = _l2_bulk(a, b)
 

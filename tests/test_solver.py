@@ -527,7 +527,7 @@ def test_history_by_parts_matches_difference_form(j):
         for table, rule in _weight_tables(AlphaParam(a), j + 4)[: 2 if j >= 1 else 1]:
             w = rule(j)
             got = table(j)
-            kappa = solver_module._by_parts(got)
+            kappa = solver_module._by_parts(got, np.empty(j + 1))
             mass = rng.standard_normal((j + 1, 33)) * 10.0 ** rng.uniform(-3.0, 3.0)
             diff_form = w[0] * mass[j] - sum(w[j - s] * (mass[s + 1] - mass[s]) for s in range(j))
             bound = 1e-13 * np.sum(np.abs(w[: j + 1])) * np.max(np.abs(mass))
@@ -547,7 +547,8 @@ def test_weight_tables_give_the_rules_kappa_bit_for_bit(a):
             w = rule(j)
             got = table(j)
             assert got.tobytes() == w.tobytes(), (a, j)
-            assert solver_module._by_parts(got).tobytes() == np.diff(w[j::-1], prepend=0.0).tobytes(), (a, j)
+            kappa = solver_module._by_parts(got, np.empty(m))
+            assert kappa.tobytes() == np.diff(w[j::-1], prepend=0.0).tobytes(), (a, j)
             levels += j in (0, 1, 2)
         assert levels == 3 - first
 
