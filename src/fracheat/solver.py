@@ -304,9 +304,9 @@ def _march(
     layers[:first+1]; their boundary entries stay as they are, zero.
 
     ``weights(j)`` gives the weights w_0..w_j of level j.  Their differences
-    go into one buffer per march: with a new small array per level, which
-    numpy's small-block cache keeps, repeated 50 000-node solves peaked
-    4-16 MB higher in RSS.  The node arrays are read-only, so a field that
+    go into one buffer per march: a new small array per level, kept by
+    numpy's small-block cache, raised the peak RSS of repeated 50 000-node
+    solves by up to 16 MB.  The node arrays are read-only, so a field that
     writes to its x fails instead of moving the nodes of later levels.
     """
     rho = tau ** (-alpha.alpha) / alpha.gamma_2ma
