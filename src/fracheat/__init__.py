@@ -19,7 +19,6 @@ from .analysis import (
 )
 from .kernel import (
     AlphaParam,
-    NonuniformTimeSeries,
     TimeSeries,
     a_coeff,
     b_coeff,
@@ -59,7 +58,6 @@ __all__ = [
     "ExperimentSpec",
     "GridSpec",
     "ManufacturedCase",
-    "NonuniformTimeSeries",
     "SchemeKind",
     "SolutionHistory",
     "TimeSeries",

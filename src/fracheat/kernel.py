@@ -7,10 +7,11 @@ formula on a uniform grid,
                             sum_{s=0..j} c_{j-s} (u_{s+1} - u_s),
 
 whose weights ``c_s`` are assembled from the two elementary coefficient
-families ``a_l`` and ``b_l``.  The linear-interpolation ("L1") formula is
-kept alongside as the lower-order bootstrap, together with analytic and
-quadrature reference derivatives and the energy quantities that enter the
-discrete stability inequalities.
+families ``a_l`` and ``b_l``.  The linear-interpolation ("L1") formula is the
+same sum with the weights ``a_0..a_j``, the ones the solver's first-layer
+bootstrap marches with.  Analytic and quadrature reference derivatives and
+the energy quantities that enter the discrete stability inequalities sit
+alongside.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 __all__ = [
     "AlphaParam",
     "TimeSeries",
-    "NonuniformTimeSeries",
     "a_coeff",
     "b_coeff",
     "c_weights",
@@ -64,26 +64,8 @@ class TimeSeries:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 1 or self.values.size < 2:
             raise ValueError("a time series needs at least two samples")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-
-
-@dataclass(frozen=True)
-class NonuniformTimeSeries:
-    """Samples on strictly increasing, not necessarily uniform, time points."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.times.shape != self.values.shape or self.times.ndim != 1:
-            raise ValueError("times and values must be 1-d arrays of equal length")
-        if self.times.size < 2:
-            raise ValueError("a time series needs at least two samples")
-        if not np.all(np.diff(self.times) > 0.0):
-            raise ValueError("time points must be strictly increasing")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
 
 
 def _pow_increment(l, beta):
@@ -133,43 +115,37 @@ def b_coeff(l, alpha: AlphaParam):
     return float(out) if np.isscalar(l) or np.ndim(l) == 0 else out
 
 
-def _l2_bulk(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The bulk L2 weights c_0 = a_0 + b_0 and c_s = a_s + b_s - b_{s-1}, one per entry of a and b.
+def _l2_table(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The L2 weights of every level that a and b reach, as (bulk, ends).
 
-    Each entry is summed left to right from its own index and the one before,
-    so its bits are the same at every level it serves.
+    bulk[s] is the bulk rule c_0 = a_0 + b_0 and c_s = a_s + b_s - b_{s-1}.
+    ends[:, j-1] holds c_{j-1} and c_j of level j+1 (1 <= j < len(a)), the
+    two weights that differ from the bulk rule:
+    c_{j-1} = a_{j-1} + b_{j-1} + b_j - b_{j-2}, with b_{-1} = 0, and
+    c_j = a_j - b_j - b_{j-1}.  Each entry is summed left to right from its
+    own indices, so its bits are the same at every level it serves and do
+    not depend on the length of a and b.
     """
-    c = a + b
-    c[1:] -= b[:-1]
-    return c
-
-
-def _l2_ends(j, a: np.ndarray, b: np.ndarray) -> tuple:
-    """c_{j-1} and c_j at level j+1 (j >= 1), the two weights that differ from the bulk rule.
-
-    c_{j-1} = a_{j-1} + b_{j-1} + b_j - b_{j-2} (no b_{j-2} term when j = 1)
-    and c_j = a_j - b_j - b_{j-1}, each summed left to right in that order.
-    ``j`` may also be an index array with every entry >= 2; then the two
-    results are arrays holding the end weights of each of those levels.
-    """
-    back = b[j - 2] if isinstance(j, np.ndarray) or j > 1 else 0.0
-    return a[j - 1] + b[j - 1] + b[j] - back, a[j] - b[j] - b[j - 1]
+    bulk = a + b
+    bulk[1:] -= b[:-1]
+    back = np.zeros(b.size - 1)
+    back[1:] = b[:-2]
+    ends = np.empty((2, a.size - 1))
+    ends[0] = a[:-1] + b[:-1] + b[1:] - back
+    ends[1] = a[1:] - b[1:] - b[:-1]
+    return bulk, ends
 
 
 def _l2_levels(a: np.ndarray, b: np.ndarray) -> Callable[[int], np.ndarray]:
     """The L2 weights of each level that a and b reach: ``level(j)`` gives
-    c_0..c_j at level j+1 (1 <= j < len(a)) as a new array.
-
-    One rule holds for every j >= 1: the bulk rule (``_l2_bulk``), formed
-    once here, with its last two entries replaced by ``_l2_ends``.  Level j
-    reads only a_0..a_j and b_0..b_j, entry by entry, so its bits depend
-    neither on its case nor on the length of ``a`` and ``b``.
+    c_0..c_j at level j+1 (1 <= j < len(a)) as a new array, the bulk rule
+    with its last two entries replaced by the end weights (``_l2_table``).
     """
-    bulk = _l2_bulk(a, b)
+    bulk, ends = _l2_table(a, b)
 
     def level(j: int) -> np.ndarray:
         c = bulk[: j + 1].copy()
-        c[j - 1], c[j] = _l2_ends(j, a, b)
+        c[j - 1 :] = ends[:, j - 1]
         return c
 
     return level
@@ -203,11 +179,11 @@ def _bar_from(c: np.ndarray) -> np.ndarray:
     return bar
 
 
-def _l2_sum(c: np.ndarray, values: np.ndarray, tau: float, alpha: AlphaParam) -> float:
-    """The L2 formula with the weights c_0..c_j at t_{j+1}, from the samples values[0..j+1]."""
-    du = np.diff(values[: c.size + 1])
-    # c_{j-s} pairs with the forward difference at s, hence the reversal
-    return tau ** (-alpha.alpha) / alpha.gamma_2ma * float(c[::-1] @ du)
+def _caputo_sum(w: np.ndarray, values: np.ndarray, tau: float, alpha: AlphaParam) -> float:
+    """The L1 or L2 formula with the weights w_0..w_j at t_{j+1}, from the samples values[0..j+1]."""
+    du = np.diff(values[: w.size + 1])
+    # w_{j-s} pairs with the forward difference at s, hence the reversal
+    return tau ** (-alpha.alpha) / alpha.gamma_2ma * float(w[::-1] @ du)
 
 
 def l2_caputo(u: TimeSeries, j: int, alpha: AlphaParam) -> float:
@@ -216,30 +192,31 @@ def l2_caputo(u: TimeSeries, j: int, alpha: AlphaParam) -> float:
         raise ValueError(f"the L2 formula needs j >= 1, got j={j}")
     if u.values.size < j + 2:
         raise ValueError(f"series too short: need {j + 2} samples, have {u.values.size}")
-    return _l2_sum(c_weights(j, alpha), u.values, u.tau, alpha)
+    return _caputo_sum(c_weights(j, alpha), u.values, u.tau, alpha)
 
 
-def l1_caputo(u: NonuniformTimeSeries, alpha: AlphaParam) -> float:
-    """L1-formula value at the last time point of a nonuniform series.
+def l1_caputo(u: TimeSeries, j: int, alpha: AlphaParam) -> float:
+    """L1-formula value of the order-alpha derivative of u at t_{j+1}.
 
-    Each subinterval integral of (t_end - eta)^(-alpha) is taken in closed
-    form, so the only approximation is the piecewise-linear interpolant.
+    The weights are a_0..a_j, those of the solver's first-layer bootstrap.
     """
-    t = u.times
-    t_end = t[-1]
-    slopes = np.diff(u.values) / np.diff(t)
-    beta = 1.0 - alpha.alpha
-    pieces = ((t_end - t[:-1]) ** beta - (t_end - t[1:]) ** beta) / beta
-    return float(slopes @ pieces) / alpha.gamma_1ma
+    if j < 0:
+        raise ValueError(f"the L1 formula needs j >= 0, got j={j}")
+    if u.values.size < j + 2:
+        raise ValueError(f"series too short: need {j + 2} samples, have {u.values.size}")
+    return _caputo_sum(a_coeff(np.arange(j + 1), alpha), u.values, u.tau, alpha)
 
 
 def exact_caputo_power(mu: float, alpha: AlphaParam, t):
     """Order-alpha Caputo derivative of t^mu:  Gamma(mu+1)/Gamma(mu+1-alpha) t^(mu-alpha)."""
     if mu <= 0.0:
         raise ValueError(f"the power rule needs mu > 0, got mu={mu}")
-    coef = math.gamma(mu + 1.0) / math.gamma(mu + 1.0 - alpha.alpha)
     t_arr = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    bad = ~(np.isfinite(t_arr) & (t_arr >= 0.0))
+    if np.any(bad):
+        raise ValueError(f"t must be finite and >= 0, got {t_arr[bad].flat[0]}")
+    coef = math.gamma(mu + 1.0) / math.gamma(mu + 1.0 - alpha.alpha)
+    with np.errstate(divide="ignore"):
         out = np.where(t_arr == 0.0, 0.0, coef * t_arr ** (mu - alpha.alpha))
     return float(out) if np.ndim(t) == 0 else out
 
@@ -305,7 +282,7 @@ def energy_E(v_cur, v_prev, c0: float, c1: float):
     ``v_prev`` may be floats or arrays of one shape; arrays give the energy
     of each pair, elementwise.
     """
-    if c0 < max(c1, -3.0 * c1):
+    if not c0 >= max(c1, -3.0 * c1):
         raise ValueError(f"need c0 >= max(c1, -3*c1); got c0={c0}, c1={c1}")
     r = math.sqrt(0.5 * (c0 - c1))
     s = math.sqrt(0.5 * (c0 + 3.0 * c1))

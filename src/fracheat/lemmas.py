@@ -18,9 +18,9 @@ from .kernel import (
     AlphaParam,
     TimeSeries,
     _bar_from,
-    _l2_ends,
+    _caputo_sum,
     _l2_levels,
-    _l2_sum,
+    _l2_table,
     a_coeff,
     b_coeff,
     bar_weights,
@@ -114,7 +114,7 @@ def check_c_bounds(alphas=ALPHA_GRID, j_max: int = J_MAX) -> CheckResult:
     worst = np.inf
     j = np.arange(2, j_max + 1)
     for a in alphas:
-        _, c_j = _l2_ends(j, *_coefficients(a, j_max))
+        c_j = _l2_table(*_coefficients(a, j_max))[1][1, 1:]
         lo = (11.0 / 16.0) * (1.0 - a) / (j + 1.0) ** a
         hi = (1.0 - a) / j**a
         worst = min(worst, float(np.min(np.minimum(c_j - lo, hi - c_j), initial=np.inf)))
@@ -124,26 +124,22 @@ def check_c_bounds(alphas=ALPHA_GRID, j_max: int = J_MAX) -> CheckResult:
 def check_c_chain(alphas=ALPHA_GRID, j_max: int = J_MAX) -> CheckResult:
     """c_0 > c_2 > c_3 > ... > c_j (c_1 is not part of the chain).
 
-    From j = 4 on, the chain of level j+1 is c_0, c_2..c_{j-2} of the bulk
-    rule, then the two end weights.  Its steps are the bulk steps, which all
-    levels share (those of the deepest level contain every shallower
-    level's), and the two steps into the end weights of each level.  So each
-    step is formed once, the bulk steps from the weights of the deepest
-    level; j = 2, 3, where c_2 is an end weight, are taken whole.
+    The chain of level j+1 is c_0 and c_2..c_{j-2} of the bulk rule, then
+    its end weights c_{j-1} (from j = 3 on) and c_j.  Its steps are the bulk
+    steps, which every level shares (a shallower level's are a prefix of a
+    deeper one's), and the steps into its end weights.  So each step is
+    formed once, from one weight table.
     """
     worst = np.inf
-    j = np.arange(4, j_max + 1)
     for a in alphas:
-        av, bv = _coefficients(a, j_max)
-        levels = _l2_levels(av, bv)
-        for j_small in range(2, min(j_max, 3) + 1):
-            c = levels(j_small)
-            worst = min(worst, float(np.min(-np.diff(np.concatenate(([c[0]], c[2:]))))))
-        if j.size:
-            bulk = levels(j_max)  # entries 0..j_max-2 are the bulk weights
-            c_jm1, c_j = _l2_ends(j, av, bv)
-            steps = (-np.diff(bulk[[0, 2]]), -np.diff(bulk[2 : j_max - 1]), -(c_jm1 - bulk[j - 2]), -(c_j - c_jm1))
-            worst = min(worst, float(np.min(np.concatenate(steps))))
+        bulk, (c_jm1, c_j) = _l2_table(*_coefficients(a, j_max))  # entry j-1 is level j+1's
+        chain = np.concatenate(([bulk[0]], bulk[2 : j_max - 1]))  # c_0, c_2..c_{j_max-2}
+        steps = (
+            -np.diff(chain),
+            -(c_jm1[2:] - chain[: j_max - 2]),  # j >= 3: into c_{j-1}, from c_0 at j = 3, from c_{j-2} after
+            -(c_j[1:] - np.r_[bulk[0], c_jm1[2:]]),  # into c_j, from c_0 at j = 2, from c_{j-1} after
+        )
+        worst = min(worst, float(np.min(np.concatenate(steps), initial=np.inf)))
     return CheckResult("c monotone chain", worst > 0.0, f"worst step {worst:.3e}")
 
 
@@ -208,8 +204,8 @@ def check_history_energy_inequality(trials: int = 1000, seed: int = 20241) -> Ch
         j = n - 2
         c = c_weights(j, alpha)  # one table per trial, read by the L2 sum and the bar weights
         rho = tau ** (-a) / alpha.gamma_2ma
-        lhs = v[j + 1] * _l2_sum(c, v, tau, alpha)
-        bar_d = _l2_sum(_bar_from(c), v * v, tau, alpha)
+        lhs = v[j + 1] * _caputo_sum(c, v, tau, alpha)
+        bar_d = _caputo_sum(_bar_from(c), v * v, tau, alpha)
         e_new = energy_E(v[j + 1], v[j], c[0] - c[2], c[1] - c[2])
         e_old = energy_E(v[j], v[j - 1], c[0] - c[2], c[1] - c[2])
         gap = lhs - (rho * (e_new - e_old) + 0.5 * bar_d)

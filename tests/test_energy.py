@@ -21,6 +21,10 @@ def test_energy_rejects_inadmissible_constants():
         energy_E(1.0, 1.0, 0.0, 1.0)  # c0 < c1
     with pytest.raises(ValueError):
         energy_E(1.0, 1.0, 1.0, -1.0)  # c0 < -3 c1
+    for c0, c1 in ((np.nan, 0.5), (1.0, np.nan), (np.nan, np.nan)):
+        # a NaN fails every comparison, so it used to pass a c0 < ... test
+        with pytest.raises(ValueError):
+            energy_E(1.0, 1.0, c0, c1)
 
 
 def test_energy_is_nonnegative():

@@ -7,7 +7,6 @@ import pytest
 
 from fracheat import (
     AlphaParam,
-    NonuniformTimeSeries,
     TimeSeries,
     caputo_by_quadrature,
     exact_caputo_power,
@@ -71,8 +70,10 @@ def test_l2_input_validation():
         l2_caputo(u, 0, alpha)
     with pytest.raises(ValueError):
         l2_caputo(u, 3, alpha)  # needs 5 samples
-    with pytest.raises(ValueError):
-        TimeSeries(np.arange(4.0), -0.1)
+    for tau in (-0.1, 0.0, math.inf, -math.inf, math.nan):
+        # tau = inf used to be accepted, and then both formulas read 0 for any data
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            TimeSeries(np.arange(4.0), tau)
     with pytest.raises(ValueError):
         TimeSeries(np.array([1.0]), 0.1)
 
@@ -101,20 +102,18 @@ def test_l2_truncation_order_against_references():
 
 def test_l1_zero_on_constants():
     alpha = AlphaParam(0.7)
-    series = NonuniformTimeSeries(np.array([0.0, 0.2, 0.5, 1.1]), np.full(4, 2.0))
-    assert l1_caputo(series, alpha) == 0.0
+    u = TimeSeries(np.full(12, 2.0), 0.1)
+    for j in range(11):
+        assert l1_caputo(u, j, alpha) == 0.0
 
 
-def test_l1_exact_on_linear_uniform_and_nonuniform():
+def test_l1_exact_on_linear():
     for a in (0.1, 0.5, 0.9):
         alpha = AlphaParam(a)
-        t = np.linspace(0.0, 1.0, 33)
-        got = l1_caputo(NonuniformTimeSeries(t, t), alpha)
-        assert got == pytest.approx(exact_caputo_power(1.0, alpha, 1.0), rel=1e-13)
-        rng = np.random.default_rng(11)
-        tn = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 2.0, 30)), [2.0]))
-        got = l1_caputo(NonuniformTimeSeries(tn, tn), alpha)
-        assert got == pytest.approx(exact_caputo_power(1.0, alpha, 2.0), rel=1e-12)
+        u = uniform_series(lambda t: t, 20, tau=0.05)
+        for j in range(20):
+            t = (j + 1) * 0.05
+            assert l1_caputo(u, j, alpha) == pytest.approx(exact_caputo_power(1.0, alpha, t), rel=1e-13)
 
 
 def test_l1_order_on_quadratic():
@@ -122,16 +121,19 @@ def test_l1_order_on_quadratic():
         alpha = AlphaParam(a)
         errs = []
         for m_steps in (80, 160, 320):
-            t = np.linspace(0.0, 1.0, m_steps + 1)
-            got = l1_caputo(NonuniformTimeSeries(t, t**2), alpha)
-            errs.append(abs(got - exact_caputo_power(2.0, alpha, 1.0)))
+            u = uniform_series(lambda t: t * t, m_steps)
+            errs.append(abs(l1_caputo(u, m_steps - 1, alpha) - exact_caputo_power(2.0, alpha, 1.0)))
         order = math.log2(errs[-2] / errs[-1])
         assert order == pytest.approx(2.0 - a, abs=0.05)
 
 
-def test_l1_rejects_non_monotone_times():
+def test_l1_input_validation():
+    alpha = AlphaParam(0.5)
+    u = TimeSeries(np.arange(4.0), 0.1)
     with pytest.raises(ValueError):
-        NonuniformTimeSeries(np.array([0.0, 0.5, 0.4]), np.zeros(3))
+        l1_caputo(u, -1, alpha)
+    with pytest.raises(ValueError):
+        l1_caputo(u, 3, alpha)  # needs 5 samples
 
 
 def test_exact_caputo_power_values():
@@ -147,6 +149,15 @@ def test_exact_caputo_power_values():
 def test_exact_caputo_power_rejects_nonpositive_mu():
     with pytest.raises(ValueError):
         exact_caputo_power(0.0, AlphaParam(0.5), 1.0)
+
+
+@pytest.mark.parametrize("t", (-1.0, -1e-300, math.nan, math.inf, -math.inf))
+def test_exact_caputo_power_rejects_bad_t(t):
+    # t = -1 and nan used to come back as nan, and t = inf as inf
+    alpha = AlphaParam(0.5)
+    for arg in (t, np.array([0.0, 0.5, t])):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            exact_caputo_power(2.0, alpha, arg)
 
 
 @pytest.mark.parametrize("t", (0.1, 1.0, 3.0))

@@ -19,6 +19,7 @@ from fracheat import (
     apply_lambda,
     c_weights,
     convergence_order,
+    exact_caputo_power,
     manufactured_case,
     measure_errors,
     norm_L2,
@@ -27,7 +28,8 @@ from fracheat import (
     thomas_solve,
 )
 import fracheat.solver as solver_module
-from fracheat.kernel import _l2_levels, a_coeff, b_coeff
+from fracheat.baselines import BASELINE_TABLE4_CO
+from fracheat.kernel import _l2_levels, _l2_table, a_coeff, b_coeff
 from sine_cases import sine_case
 
 
@@ -503,6 +505,28 @@ def test_bootstrap_error_falls_at_order_three_minus_alpha(scheme, a):
     assert min(orders) >= 3.0 - a - 0.1, (errs, orders)
 
 
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.7])
+def test_l2_march_reaches_the_table4_orders_without_spatial_error(a):
+    # u = sin(pi x)(t^(3+a) + t^2 + 1), the paper's time dependence, has no
+    # spatial error on any grid, so compact4 at N = 16 shows the L2 march's
+    # temporal order alone.  Every pairwise order on M = 10..160 read within
+    # 0.010 of table 4's (largest at alpha = 0.3, M = 10 -> 20; at most
+    # 0.0017 at alpha = 0.5 and 0.7).  The case's k = 1 + t and q = t are not
+    # table 4's coefficients, so the orders agree only this far.
+    alpha = AlphaParam(a)
+    g = lambda t: t ** (3.0 + a) + t * t + 1.0
+    caputo_g = lambda t: exact_caputo_power(3.0 + a, alpha, t) + exact_caputo_power(2.0, alpha, t)
+    reports = []
+    for m_steps in (10, 20, 40, 80, 160):
+        grid = GridSpec(N=16, M=m_steps)
+        problem, u_exact = sine_case(g, caputo_g, SchemeKind.COMPACT4, grid)
+        reports.append(measure_errors(solve(problem, grid, alpha, SchemeKind.COMPACT4), u_exact))
+    for rung, (coarse, fine) in enumerate(zip(reports, reports[1:])):
+        for field, baseline in zip(("err_L2", "err_C", "err_grad"), BASELINE_TABLE4_CO[a][rung]):
+            order = convergence_order(getattr(coarse, field), getattr(fine, field), 2.0, 1.0)
+            assert abs(order - baseline) <= 0.05, (a, rung, field, order, baseline)
+
+
 # ----------------------------------------------------------------- stepping
 
 
@@ -590,6 +614,20 @@ def test_l2_levels_do_not_depend_on_the_coefficient_length(a):
     long = _l2_levels(av, bv)
     for j in range(1, 2000):
         assert _l2_levels(av[: j + 1], bv[: j + 1])(j).tobytes() == long(j).tobytes(), (a, j)
+
+
+def test_l2_table_at_its_smallest_sizes():
+    # solve builds the table from a single coefficient when M = 1, and the
+    # lemma checks from three when j_max = 2
+    a, b = np.array([1.0]), np.array([0.25])
+    bulk, ends = _l2_table(a, b)
+    assert bulk.tolist() == [1.25] and ends.shape == (2, 0)
+    idx = np.arange(3)
+    alpha = AlphaParam(0.5)
+    av, bv = a_coeff(idx, alpha), b_coeff(idx, alpha)
+    levels = _l2_levels(av, bv)
+    for j in (1, 2):
+        assert levels(j).tobytes() == _reference_l2_weights(j, av, bv).tobytes()
 
 
 def _hand_history(c, m, j):
