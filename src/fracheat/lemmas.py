@@ -114,7 +114,8 @@ def check_c_bounds(alphas=ALPHA_GRID, j_max: int = J_MAX) -> CheckResult:
     worst = np.inf
     j = np.arange(2, j_max + 1)
     for a in alphas:
-        c_j = _l2_table(*_coefficients(a, j_max))[1][1, 1:]
+        _, (_, c_last) = _l2_table(*_coefficients(a, j_max))
+        c_j = c_last[1:]  # levels j = 2..j_max
         lo = (11.0 / 16.0) * (1.0 - a) / (j + 1.0) ** a
         hi = (1.0 - a) / j**a
         worst = min(worst, float(np.min(np.minimum(c_j - lo, hi - c_j), initial=np.inf)))

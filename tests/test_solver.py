@@ -616,18 +616,11 @@ def test_l2_levels_do_not_depend_on_the_coefficient_length(a):
         assert _l2_levels(av[: j + 1], bv[: j + 1])(j).tobytes() == long(j).tobytes(), (a, j)
 
 
-def test_l2_table_at_its_smallest_sizes():
-    # solve builds the table from a single coefficient when M = 1, and the
-    # lemma checks from three when j_max = 2
-    a, b = np.array([1.0]), np.array([0.25])
-    bulk, ends = _l2_table(a, b)
+def test_l2_table_from_one_coefficient():
+    # solve builds the table from a single coefficient when M = 1; the lemma
+    # checks' smallest table (j_max = 2) is covered in test_kernel_coeffs
+    bulk, ends = _l2_table(np.array([1.0]), np.array([0.25]))
     assert bulk.tolist() == [1.25] and ends.shape == (2, 0)
-    idx = np.arange(3)
-    alpha = AlphaParam(0.5)
-    av, bv = a_coeff(idx, alpha), b_coeff(idx, alpha)
-    levels = _l2_levels(av, bv)
-    for j in (1, 2):
-        assert levels(j).tobytes() == _reference_l2_weights(j, av, bv).tobytes()
 
 
 def _hand_history(c, m, j):
