@@ -74,16 +74,26 @@ def _pow_increment(l, beta):
     return l**beta * np.expm1(beta * np.log1p(1.0 / l))
 
 
+def _index_array(l) -> np.ndarray:
+    """The coefficient index l (a scalar or an array) as floats, checked to
+    be finite integers >= 0; ``ValueError`` names the first that is not."""
+    l_arr = np.asarray(l, dtype=float)
+    bad = ~(np.isfinite(l_arr) & (l_arr >= 0.0) & (np.floor(l_arr) == l_arr))
+    if np.any(bad):
+        where = f"l{np.argwhere(bad)[0].tolist()}" if l_arr.ndim else "l"
+        raise ValueError(f"coefficient index must be an integer >= 0, got {where} = {l_arr[bad].flat[0]}")
+    return l_arr
+
+
 def a_coeff(l, alpha: AlphaParam):
     """a_l = (l+1)^(1-alpha) - l^(1-alpha) for integer l >= 0.
 
-    Accepts a scalar index or an index array.  Large-l evaluation goes
-    through expm1/log1p so the value keeps full relative accuracy even
-    where the two powers agree to many digits.
+    Accepts a scalar index or an index array; integer-valued floats count
+    as integers.  Large-l evaluation goes through expm1/log1p so the value
+    keeps full relative accuracy even where the two powers agree to many
+    digits.
     """
-    l_arr = np.asarray(l, dtype=float)
-    if np.any(l_arr < 0):
-        raise ValueError("coefficient index must be >= 0")
+    l_arr = _index_array(l)
     beta = 1.0 - alpha.alpha
     with np.errstate(divide="ignore"):
         out = np.where(l_arr == 0, 1.0, _pow_increment(np.maximum(l_arr, 1.0), beta))
@@ -102,9 +112,7 @@ def b_coeff(l, alpha: AlphaParam):
     3.0e-13 at a = 0.1, 3.6e-15 at a = 0.5 and 3.8e-17 at a = 0.9, up to
     1.9e-6 relative.
     """
-    l_arr = np.asarray(l, dtype=float)
-    if np.any(l_arr < 0):
-        raise ValueError("coefficient index must be >= 0")
+    l_arr = _index_array(l)
     a = alpha.alpha
     beta = 1.0 - a
     ls = np.maximum(l_arr, 1.0)
@@ -209,8 +217,8 @@ def l1_caputo(u: TimeSeries, j: int, alpha: AlphaParam) -> float:
 
 def exact_caputo_power(mu: float, alpha: AlphaParam, t):
     """Order-alpha Caputo derivative of t^mu:  Gamma(mu+1)/Gamma(mu+1-alpha) t^(mu-alpha)."""
-    if mu <= 0.0:
-        raise ValueError(f"the power rule needs mu > 0, got mu={mu}")
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise ValueError(f"the power rule needs a finite mu > 0, got mu={mu}")
     t_arr = np.asarray(t, dtype=float)
     bad = ~(np.isfinite(t_arr) & (t_arr >= 0.0))
     if np.any(bad):

@@ -10,7 +10,9 @@ linear, acts once per level on the right-hand side.  The loop runs twice per
 solve, with a callable giving each level's weights: first the L1 weights
 ``a_s`` on a refined subgrid of [0, tau], which bootstraps the first layer
 (the quadratic-interpolation weights need three time points), then the L2
-weights ``c_s`` (``kernel._l2_levels``) on the main grid.
+weights ``c_s`` (``kernel._l2_levels``) on the main grid.  Both marches run
+in the one array: the bootstrap fills its rows 0..M1, row M1 is copied to
+row 1, and the main march writes rows 2..M before it reads them.
 """
 
 from __future__ import annotations
@@ -301,7 +303,10 @@ def _march(
     compact: bool,
 ) -> None:
     """Fill the interiors of layers[first+1:] in place at time step tau from
-    layers[:first+1]; their boundary entries stay as they are, zero.
+    layers[:first+1]; their boundary entries stay as they are, zero.  Rows
+    past ``first`` are written before they are read, so ``layers`` may hold
+    an earlier march's rows there: ``solve`` runs the bootstrap and the main
+    march in one array.
 
     ``weights(j)`` gives the weights w_0..w_j of level j.  Their differences
     go into one buffer per march: a new small array per level, kept by
@@ -329,23 +334,26 @@ def solve(
     The bootstrap subgrid has M1 = ceil(tau^(-1/(2-alpha))) uniform substeps,
     i.e. a substep tau/M1 = O(tau^((3-alpha)/(2-alpha))), which lifts the L1
     order 2-alpha back to the 3-alpha accuracy the main scheme needs from
-    its starting value.
+    its starting value.  The bootstrap marches in rows 0..M1 of the array
+    of layers, whose row M1 is then copied to row 1; the main march
+    overwrites rows 2..M.  So the array has max(M, M1) + 1 rows (M1 > M
+    where the horizon is short: horizon 0.01 and M = 10 give M1 = 100 at
+    alpha = 0.5), and the returned layers are its first M + 1 rows, a
+    contiguous view.
     """
     compact = SchemeKind(scheme) is SchemeKind.COMPACT4
     if compact and problem.coefficients is not Coefficients.TIME_ONLY:
         raise ValueError("the compact scheme requires time-only coefficients k(t), q(t)")
-    layers = np.zeros((grid.M + 1, grid.N + 1))
-    layers[0] = _evaluate(problem, "u0", grid.x_nodes(), 0.0)
-    layers[0, [0, -1]] = 0.0
-
     m1 = max(1, math.ceil((1.0 / grid.tau) ** (1.0 / (2.0 - alpha.alpha))))
-    sub = np.zeros((m1 + 1, grid.N + 1))
-    sub[0] = layers[0]
-    a_l1 = a_coeff(np.arange(m1), alpha)
-    _march(problem, grid, sub, 0, grid.tau / m1, alpha, lambda j: a_l1[: j + 1], compact)
-    layers[1] = sub[m1]
-    del sub
+    rows = np.zeros((max(grid.M, m1) + 1, grid.N + 1))
+    rows[0] = _evaluate(problem, "u0", grid.x_nodes(), 0.0)
+    rows[0, [0, -1]] = 0.0
 
+    a_l1 = a_coeff(np.arange(m1), alpha)
+    _march(problem, grid, rows[: m1 + 1], 0, grid.tau / m1, alpha, lambda j: a_l1[: j + 1], compact)
+    rows[1] = rows[m1]
+
+    layers = rows[: grid.M + 1]
     idx = np.arange(grid.M)
     _march(problem, grid, layers, 1, grid.tau, alpha, _l2_levels(a_coeff(idx, alpha), b_coeff(idx, alpha)), compact)
     return SolutionHistory(layers=layers, grid=grid)

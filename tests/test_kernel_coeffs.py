@@ -1,6 +1,7 @@
 """Coefficient families a_l, b_l, c_s and their lemma-level properties."""
 
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -41,6 +42,25 @@ def test_a_coeff_in_bracket():
 def test_a_coeff_rejects_negative_index():
     with pytest.raises(ValueError):
         a_coeff(-1, AlphaParam(0.5))
+
+
+@pytest.mark.parametrize("coeff", (a_coeff, b_coeff))
+@pytest.mark.parametrize("l, named", [
+    (math.nan, "l = nan"), (2.5, "l = 2.5"), (-1.0, "l = -1.0"), (math.inf, "l = inf"),
+    (np.array([0.0, 1.0, 2.5, math.nan]), "l[2] = 2.5"), (np.array([[0.0, 1.0], [math.nan, 3.0]]), "l[1, 0] = nan"),
+])
+def test_coefficients_reject_an_index_that_is_not_a_nonnegative_integer(coeff, l, named):
+    # a NaN index used to give nan and l = 2.5 a value between a_2 and a_3
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer >= 0, got {named}")):
+        coeff(l, AlphaParam(0.5))
+
+
+@pytest.mark.parametrize("coeff", (a_coeff, b_coeff))
+def test_coefficients_take_integer_valued_floats(coeff):
+    alpha = AlphaParam(0.3)
+    ints = coeff(np.arange(50), alpha)
+    assert coeff(np.arange(50, dtype=float), alpha).tobytes() == ints.tobytes()
+    assert coeff(7.0, alpha) == coeff(7, alpha) == ints[7]
 
 
 def test_b_coeff_values():

@@ -1,6 +1,7 @@
 """Discrete Caputo operators against analytic and quadrature references."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,9 +147,11 @@ def test_exact_caputo_power_values():
     )
 
 
-def test_exact_caputo_power_rejects_nonpositive_mu():
-    with pytest.raises(ValueError):
-        exact_caputo_power(0.0, AlphaParam(0.5), 1.0)
+@pytest.mark.parametrize("mu", (math.nan, math.inf, -math.inf, 0.0, -1.0))
+def test_exact_caputo_power_rejects_mu_that_is_not_finite_and_positive(mu):
+    # nan and inf used to come back as nan
+    with pytest.raises(ValueError, match=re.escape(f"mu={mu}")):
+        exact_caputo_power(mu, AlphaParam(0.5), 1.0)
 
 
 @pytest.mark.parametrize("t", (-1.0, -1e-300, math.nan, math.inf, -math.inf))

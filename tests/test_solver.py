@@ -713,19 +713,58 @@ def test_solve_evaluates_each_field_once_per_level(scheme):
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))
 def test_solve_keeps_one_array_of_layers(scheme):
-    # the layers are the only array of the history's size: the traced peak
-    # of a solve stays well under two of them, for both schemes
-    alpha = AlphaParam(0.5)
+    # the layers are the only array of the history's size, and the L1
+    # bootstrap (M1 = 30 substeps here) marches inside them.  Beyond
+    # layers.nbytes the traced peak read 18.8 node-sized arrays for order2
+    # and 16.7 for compact4; a bootstrap in an array of its own, 31 rows,
+    # read 49.7 and 47.6
+    alpha = AlphaParam(0.7)
     variant = Coefficients.TIME_ONLY if scheme is SchemeKind.COMPACT4 else Coefficients.VARIABLE_XT
     problem = manufactured_case(alpha, variant).problem
-    grid = GridSpec(N=200, M=400)
+    grid = GridSpec(N=5000, M=80)
     tracemalloc.start()
     try:
         layers = solve(problem, grid, alpha, scheme).layers
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * layers.nbytes, f"peak {peak / layers.nbytes:.2f} x layers.nbytes"
+    node_array = (grid.N + 1) * 8
+    assert peak - layers.nbytes <= 24 * node_array, f"{(peak - layers.nbytes) / node_array:.1f} node arrays"
+
+
+def _solve_with_separate_bootstrap(problem, grid, alpha, scheme):
+    # the L1 bootstrap in an array of its own, whose last row becomes layer 1
+    compact = scheme is SchemeKind.COMPACT4
+    layers = np.zeros((grid.M + 1, grid.N + 1))
+    layers[0] = solver_module._evaluate(problem, "u0", grid.x_nodes(), 0.0)
+    layers[0, [0, -1]] = 0.0
+    m1 = max(1, math.ceil((1.0 / grid.tau) ** (1.0 / (2.0 - alpha.alpha))))
+    sub = np.zeros((m1 + 1, grid.N + 1))
+    sub[0] = layers[0]
+    a_l1 = a_coeff(np.arange(m1), alpha)
+    solver_module._march(problem, grid, sub, 0, grid.tau / m1, alpha, lambda j: a_l1[: j + 1], compact)
+    layers[1] = sub[m1]
+    idx = np.arange(grid.M)
+    levels = _l2_levels(a_coeff(idx, alpha), b_coeff(idx, alpha))
+    solver_module._march(problem, grid, layers, 1, grid.tau, alpha, levels, compact)
+    return m1, layers
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+@pytest.mark.parametrize("m_steps, horizon, a, m1", [(10, 0.01, 0.5, 100), (3, 1.0, 0.9, 3)])
+def test_bootstrap_inside_the_layers_matches_a_separate_bootstrap(scheme, m_steps, horizon, a, m1):
+    # a bootstrap longer than the main march (M1 = 100 > M = 10) and one
+    # exactly as long (M1 = M = 3) give the same bits as one marched in an
+    # array of its own
+    alpha = AlphaParam(a)
+    variant = Coefficients.TIME_ONLY if scheme is SchemeKind.COMPACT4 else Coefficients.VARIABLE_XT
+    problem = manufactured_case(alpha, variant).problem
+    grid = GridSpec(N=8, M=m_steps, horizon=horizon)
+    substeps, expected = _solve_with_separate_bootstrap(problem, grid, alpha, scheme)
+    assert substeps == m1
+    layers = solve(problem, grid, alpha, scheme).layers
+    assert layers.shape == (m_steps + 1, 9) and layers.flags.c_contiguous
+    assert layers.tobytes() == expected.tobytes()
 
 
 def test_solve_zero_data_stays_zero():
