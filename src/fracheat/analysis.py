@@ -99,10 +99,10 @@ def measure_errors(history: SolutionHistory, u_exact) -> ErrorReport:
 
 def convergence_order(e1: float, e2: float, s1: float, s2: float) -> float:
     """Pairwise order log(e1/e2) / log(s1/s2) between a coarse and a fine rung."""
-    if e1 <= 0.0 or e2 <= 0.0:
-        raise ValueError("errors must be positive to define an order")
-    if not s1 > s2 > 0.0:
-        raise ValueError("scales must satisfy s1 > s2 > 0")
+    if not all(math.isfinite(e) and e > 0.0 for e in (e1, e2)):
+        raise ValueError(f"errors must be finite and positive to define an order, got {e1}, {e2}")
+    if not (math.isfinite(s1) and s1 > s2 > 0.0):
+        raise ValueError(f"scales must be finite with s1 > s2 > 0, got {s1}, {s2}")
     return math.log(e1 / e2) / math.log(s1 / s2)
 
 

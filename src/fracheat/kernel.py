@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -159,24 +160,29 @@ def _l2_levels(a: np.ndarray, b: np.ndarray) -> Callable[[int], np.ndarray]:
     return level
 
 
+def _check_level(j, least: int, what: str) -> None:
+    """Raise ``ValueError`` naming j unless it is an integer >= least.
+
+    Python and numpy integers qualify; a bool, an integer-valued float and
+    NaN do not, so no level is rounded or truncated silently.
+    """
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral) or j < least:
+        raise ValueError(f"{what}: j must be an integer >= {least}, got j={j!r}")
+
+
 def c_weights(j: int, alpha: AlphaParam) -> np.ndarray:
     """Weights c_0..c_j of the L2 formula at level j+1 (needs j >= 1).
 
     Level 0 has no L2 weights and is handled by the L1 bootstrap instead.
     """
-    if j < 1:
-        raise ValueError(
-            "the L2 formula needs at least three time points (j >= 1); "
-            "the first layer is handled by the L1 bootstrap"
-        )
+    _check_level(j, 1, "the L2 weights (level 0 is the L1 bootstrap's)")
     idx = np.arange(j + 1)
     return _l2_levels(a_coeff(idx, alpha), b_coeff(idx, alpha))(j)
 
 
 def bar_weights(j: int, alpha: AlphaParam) -> np.ndarray:
     """Truncated weights: bar_c_0 = bar_c_1 = c_2, bar_c_s = c_s for s >= 2."""
-    if j < 2:
-        raise ValueError(f"bar weights reference c_2 and need j >= 2, got j={j}")
+    _check_level(j, 2, "the bar weights reference c_2")
     return _bar_from(c_weights(j, alpha))
 
 
@@ -196,8 +202,7 @@ def _caputo_sum(w: np.ndarray, values: np.ndarray, tau: float, alpha: AlphaParam
 
 def l2_caputo(u: TimeSeries, j: int, alpha: AlphaParam) -> float:
     """L2-formula value of the order-alpha derivative of u at t_{j+1}."""
-    if j < 1:
-        raise ValueError(f"the L2 formula needs j >= 1, got j={j}")
+    _check_level(j, 1, "the L2 formula")
     if u.values.size < j + 2:
         raise ValueError(f"series too short: need {j + 2} samples, have {u.values.size}")
     return _caputo_sum(c_weights(j, alpha), u.values, u.tau, alpha)
@@ -208,8 +213,7 @@ def l1_caputo(u: TimeSeries, j: int, alpha: AlphaParam) -> float:
 
     The weights are a_0..a_j, those of the solver's first-layer bootstrap.
     """
-    if j < 0:
-        raise ValueError(f"the L1 formula needs j >= 0, got j={j}")
+    _check_level(j, 0, "the L1 formula")
     if u.values.size < j + 2:
         raise ValueError(f"series too short: need {j + 2} samples, have {u.values.size}")
     return _caputo_sum(a_coeff(np.arange(j + 1), alpha), u.values, u.tau, alpha)

@@ -62,6 +62,18 @@ def test_convergence_order_validation():
         convergence_order(1e-3, 0.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         convergence_order(1e-3, 1e-4, 1.0, 2.0)
+    # a NaN or an infinity used to pass through: (nan, 1e-3) read nan, (inf, 1) read inf
+    for args in (
+        (math.nan, 1e-3, 2.0, 1.0),
+        (1e-3, math.nan, 2.0, 1.0),
+        (math.inf, 1.0, 2.0, 1.0),
+        (1.0, math.inf, 2.0, 1.0),
+        (4e-3, 1e-3, math.inf, 1.0),
+        (4e-3, 1e-3, math.nan, 1.0),
+        (4e-3, 1e-3, 2.0, math.nan),
+    ):
+        with pytest.raises(ValueError, match="must be finite"):
+            convergence_order(*args)
 
 
 def test_baseline_co_columns_are_log2_error_ratios():

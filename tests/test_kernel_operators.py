@@ -9,6 +9,8 @@ import pytest
 from fracheat import (
     AlphaParam,
     TimeSeries,
+    bar_weights,
+    c_weights,
     caputo_by_quadrature,
     exact_caputo_power,
     l1_caputo,
@@ -135,6 +137,33 @@ def test_l1_input_validation():
         l1_caputo(u, -1, alpha)
     with pytest.raises(ValueError):
         l1_caputo(u, 3, alpha)  # needs 5 samples
+
+
+_SERIES = TimeSeries(np.arange(6.0) ** 2, 0.2)
+_LEVEL_FUNCTIONS = {
+    "l1_caputo": lambda j, alpha: l1_caputo(_SERIES, j, alpha),
+    "l2_caputo": lambda j, alpha: l2_caputo(_SERIES, j, alpha),
+    "c_weights": c_weights,
+    "bar_weights": bar_weights,
+}
+
+
+@pytest.mark.parametrize("j", (1.5, 2.0, True, math.nan), ids=repr)
+@pytest.mark.parametrize("name", _LEVEL_FUNCTIONS)
+def test_level_index_must_be_an_integer(name, j):
+    # l1_caputo used to read j = 1.5 as level 2 and True as level 1; the
+    # others failed on a slice with a TypeError
+    with pytest.raises(ValueError, match=r"j must be an integer >= \d, got j=" + re.escape(repr(j))):
+        _LEVEL_FUNCTIONS[name](j, AlphaParam(0.5))
+
+
+@pytest.mark.parametrize("name", _LEVEL_FUNCTIONS)
+def test_numpy_integer_level_gives_the_same_bits(name):
+    alpha = AlphaParam(0.5)
+    for j in (2, 3, 4):
+        by_int = np.asarray(_LEVEL_FUNCTIONS[name](j, alpha))
+        by_numpy = np.asarray(_LEVEL_FUNCTIONS[name](np.int64(j), alpha))
+        assert by_int.tobytes() == by_numpy.tobytes()
 
 
 def test_exact_caputo_power_values():
