@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -137,7 +136,7 @@ def solve_manufactured(alpha: float, scheme: SchemeKind, m_steps: int, n_sub: in
     """Solve the built-in manufactured case on [0,1]x[0,1] and measure its errors.
 
     compact4 runs the time-only coefficient pair it requires, order2 the
-    x- and t-dependent one.  Module-level so a process pool can pickle it.
+    x- and t-dependent one.
     """
     scheme = SchemeKind(scheme)
     variant = Coefficients.TIME_ONLY if scheme is SchemeKind.COMPACT4 else Coefficients.VARIABLE_XT
@@ -146,27 +145,16 @@ def solve_manufactured(alpha: float, scheme: SchemeKind, m_steps: int, n_sub: in
     return measure_errors(history, case.u_exact)
 
 
-def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ConvergenceTable:
+def run_experiment(spec: ExperimentSpec) -> ConvergenceTable:
     """Solve every rung and assemble the error/convergence-order table.
 
     Orders are measured against the time-step ratio of consecutive rungs
     (the spatial grid is slaved to tau on coupled ladders, fixed on the
-    temporal-only ones).  Rungs are independent solves, so they can fan out
-    to a worker pool; assembly is ordered by rung either way.
+    temporal-only ones).
     """
-    ms = [m_steps for m_steps, _ in spec.rungs]
-    ns = [n_sub for _, n_sub in spec.rungs]
-    args = (repeat(spec.alpha), repeat(spec.scheme), ms, ns)
-    if jobs > 1 and len(ms) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # ~25 ms of import that serial runs skip
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(solve_manufactured, *args))
-    else:
-        reports = list(map(solve_manufactured, *args))
-
     rows: list[TableRow] = []
-    for r, (m_steps, n_sub, report) in enumerate(zip(ms, ns, reports)):
+    for r, (m_steps, n_sub) in enumerate(spec.rungs):
+        report = solve_manufactured(spec.alpha, spec.scheme, m_steps, n_sub)
         tau = 1.0 / m_steps
         h = 1.0 / n_sub
         cos: dict[str, float | None] = {"co_L2": None, "co_C": None, "co_grad": None}

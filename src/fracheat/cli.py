@@ -51,7 +51,6 @@ class RunConfig:
     depth: int | None = None
     n_override: int | None = None
     m_steps: int | None = None
-    jobs: int = 1
     table: int | None = None
 
 
@@ -76,7 +75,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     parser.add_argument("--M", type=int, default=None, help="time steps (--single)")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "md"), default=None, help="table format (default csv)")
-    parser.add_argument("--jobs", type=int, default=None, help="worker processes for ladder rungs (default 1)")
+    # perfbench/worker.py appends `--jobs 1` to every command; drop this with it (ROADMAP item 18)
+    parser.add_argument("--jobs", type=int, choices=(1,), help=argparse.SUPPRESS)
     ns = parser.parse_args(argv)
 
     chosen = [name for name, on in
@@ -84,15 +84,13 @@ def parse_args(argv: list[str]) -> RunConfig:
               if on]
     if len(chosen) != 1:
         parser.error("choose exactly one of --table, --properties, --single")
-    unused = {"table": ("scheme", "M"), "single": ("depth", "jobs", "format"),
+    unused = {"table": ("scheme", "M"), "single": ("depth", "format"),
               "properties": ("alpha", "N", "M", "depth", "scheme", "format")}[chosen[0]]
     given = [f"--{name}" for name in unused if getattr(ns, name) is not None]
     if given:
         parser.error(f"{', '.join(given)}: not used by --{chosen[0]}")
     if ns.depth is not None and ns.depth < 1:
         parser.error("--depth: ladder depth must be >= 1")
-    if ns.jobs is not None and ns.jobs < 1:
-        parser.error("--jobs: must be >= 1")
     if ns.N is not None and ns.N < 2:
         parser.error("--N: need at least 2 spatial subintervals")
     if ns.M is not None and ns.M < 1:
@@ -101,8 +99,7 @@ def parse_args(argv: list[str]) -> RunConfig:
     if ns.table is not None:
         alphas = tuple(ns.alpha) if ns.alpha else TABLE_ALPHAS[ns.table]
         return RunConfig(command=f"table{ns.table}", alpha_list=alphas, output_path=ns.out,
-                         format=ns.format or "csv", depth=ns.depth, n_override=ns.N,
-                         jobs=ns.jobs or 1, table=ns.table)
+                         format=ns.format or "csv", depth=ns.depth, n_override=ns.N, table=ns.table)
     if ns.single:
         if ns.N is None or ns.M is None or not ns.alpha:
             parser.error("--single needs --N, --M and --alpha")
@@ -126,7 +123,7 @@ def _run_table(config: RunConfig) -> int:
     tables: list[ConvergenceTable] = []
     for alpha in config.alpha_list:
         spec = experiment_spec(config.table, alpha, depth=config.depth, n_override=config.n_override)
-        tables.append(run_experiment(spec, jobs=config.jobs))
+        tables.append(run_experiment(spec))
     render = tables_to_csv if config.format == "csv" else tables_to_markdown
     _emit(render(tables), config.output_path)
     return 0

@@ -65,6 +65,9 @@ class TimeSeries:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 1 or self.values.size < 2:
             raise ValueError("a time series needs at least two samples")
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            raise ValueError(f"time series samples must be finite, got values[{bad[0]}] = {self.values[bad[0]]}")
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
 

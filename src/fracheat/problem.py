@@ -83,7 +83,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DiffusionProblem:
-    """Problem data. k, q, f take (x, t) with x an array; u0 takes x.  ``solve`` checks them."""
+    """Problem data. k, q, f take (x, t) with x an array; u0 takes x.  ``solve`` checks
+    their values; c1_lower and coefficients are checked here."""
 
     k: Field
     q: Field
@@ -91,6 +92,12 @@ class DiffusionProblem:
     u0: Callable[[np.ndarray], np.ndarray]
     c1_lower: float = 1.0
     coefficients: Coefficients = Coefficients.VARIABLE_XT
+
+    def __post_init__(self) -> None:
+        c1 = self.c1_lower
+        if isinstance(c1, bool) or not (isinstance(c1, numbers.Real) and math.isfinite(c1) and c1 > 0.0):
+            raise ValueError(f"c1_lower must be finite and positive, got {c1!r}")
+        object.__setattr__(self, "coefficients", Coefficients(self.coefficients))
 
 
 @dataclass(frozen=True)

@@ -135,12 +135,9 @@ def test_run_experiment_first_row_has_empty_orders():
     assert row.err_L2 > 0.0
 
 
-def test_run_experiment_parallel_matches_serial():
-    spec = experiment_spec(1, 0.5, depth=2)
-    serial = run_experiment(spec, jobs=1)
-    parallel = run_experiment(spec, jobs=2)
-    assert serial == parallel
-    assert serial.rows[1].co_L2 == pytest.approx(2.5, abs=0.1)
+def test_run_experiment_second_row_order():
+    table = run_experiment(experiment_spec(1, 0.5, depth=2))
+    assert table.rows[1].co_L2 == pytest.approx(2.5, abs=0.1)
 
 
 def test_error_report_norm_comparison():

@@ -72,6 +72,7 @@ def test_parse_properties():
         ["--properties", "--format", "md"],
         ["--table", "1", "--alpha", ","],
         ["--table", "1", "--alpha", ""],
+        ["--table", "1", "--jobs", "2"],
     ],
 )
 def test_configuration_errors_exit_2(argv, capsys):
@@ -79,6 +80,20 @@ def test_configuration_errors_exit_2(argv, capsys):
         parse_args(argv)
     assert err.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--table", "2"],
+        ["--table", "2", "--N", "50000"],
+        ["--properties"],
+        ["--single", "--N", "8", "--M", "4", "--alpha", "0.5"],
+    ],
+)
+def test_jobs_1_is_accepted_and_changes_nothing(argv):
+    # perfbench/worker.py appends --jobs 1 to every command it runs
+    assert parse_args(argv + ["--jobs", "1"]) == parse_args(argv)
 
 
 def test_single_run_output_line(capsys):
@@ -153,8 +168,8 @@ def _fresh_python(code: str) -> str:
 
 def test_import_leaves_heavy_scipy_subpackages_unloaded():
     # the package needs only the compiled LAPACK module under scipy.linalg,
-    # not scipy.linalg itself, and a process pool only for --jobs > 1; the
-    # lemma suite is imported too, since `--properties` loads it
+    # not scipy.linalg itself, and no process pool at all; the lemma suite
+    # is imported too, since `--properties` loads it
     heavy = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse", "scipy.linalg",
              "concurrent.futures")
     code = f"import sys, fracheat.cli, fracheat.lemmas; print(sorted(m for m in {heavy!r} if m in sys.modules))"

@@ -81,6 +81,21 @@ def test_l2_input_validation():
         TimeSeries(np.array([1.0]), 0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_time_series_rejects_non_finite_samples(bad, at):
+    # a NaN sample used to pass through to a NaN derivative
+    values = np.arange(5.0)
+    values[at] = bad
+    with pytest.raises(ValueError, match=re.escape(f"values[{at}] = {bad}")):
+        TimeSeries(values, 0.1)
+
+
+def test_time_series_keeps_finite_samples_bit_for_bit():
+    values = np.array([0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.0 / 3.0])
+    assert TimeSeries(values, 0.1).values.tobytes() == values.tobytes()
+
+
 def test_l2_truncation_order_against_references():
     # error at t=1 under tau-halving approaches order 3-alpha; the approach
     # is O(tau^alpha) from below, so the smallest orders need ladders deeper

@@ -163,6 +163,25 @@ def _with(base, **fields):
     return dataclasses.replace(base, **fields)
 
 
+@pytest.mark.parametrize("c1", [math.nan, math.inf, -math.inf, 0.0, -1.0, True])
+def test_problem_rejects_a_c1_lower_that_would_switch_the_k_check_off(c1):
+    # c1 = nan used to pass every k (lo < nan is False), and c1 = -1 let
+    # k = -0.5 through to a blow-up
+    with pytest.raises(ValueError, match="^c1_lower must be finite and positive"):
+        _with(manufactured_case(ALPHA).problem, c1_lower=c1)
+
+
+def test_problem_takes_coefficients_by_value_and_rejects_unknown_ones():
+    case = manufactured_case(ALPHA, Coefficients.TIME_ONLY)
+    by_name = _with(case.problem, coefficients="time_only")
+    assert by_name.coefficients is Coefficients.TIME_ONLY
+    grid = GridSpec(N=8, M=4)
+    assert (solve(by_name, grid, ALPHA, SchemeKind.COMPACT4).layers.tobytes()
+            == solve(case.problem, grid, ALPHA, SchemeKind.COMPACT4).layers.tobytes())
+    with pytest.raises(ValueError, match="'bogus' is not a valid Coefficients"):
+        _with(case.problem, coefficients="bogus")
+
+
 def test_validate_on_grid_rejects_non_finite_k():
     base = manufactured_case(ALPHA).problem
     sick = _with(base, k=lambda x, t: np.full_like(np.asarray(x, dtype=float), np.nan))
