@@ -175,9 +175,8 @@ def test_problem_takes_coefficients_by_value_and_rejects_unknown_ones():
     case = manufactured_case(ALPHA, Coefficients.TIME_ONLY)
     by_name = _with(case.problem, coefficients="time_only")
     assert by_name.coefficients is Coefficients.TIME_ONLY
-    grid = GridSpec(N=8, M=4)
-    assert (solve(by_name, grid, ALPHA, SchemeKind.COMPACT4).layers.tobytes()
-            == solve(case.problem, grid, ALPHA, SchemeKind.COMPACT4).layers.tobytes())
+    assert (solve(by_name, GRID, ALPHA, SchemeKind.COMPACT4).layers.tobytes()
+            == solve(case.problem, GRID, ALPHA, SchemeKind.COMPACT4).layers.tobytes())
     with pytest.raises(ValueError, match="'bogus' is not a valid Coefficients"):
         _with(case.problem, coefficients="bogus")
 

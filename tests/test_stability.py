@@ -35,21 +35,20 @@ def _norms(v: np.ndarray, h: float) -> tuple[float, float]:
     return math.sqrt(h * math.fsum(inner * inner)), float(np.max(np.abs(inner), initial=0.0))
 
 
-def _coefficient(lo, hi, freq_x, freq_t, phase):
-    """lo + (hi - lo) (1 + sin(freq_x x + freq_t t + phase)) / 2, which lies in [lo, hi]."""
-    return lambda x, t: lo + (hi - lo) * (0.5 + 0.5 * np.sin(freq_x * np.asarray(x) + freq_t * t + phase))
-
-
 @st.composite
 def cases(draw, scheme):
     n_sub, m_steps = draw(st.integers(2, 64)), draw(st.integers(1, 200))
     alpha = draw(st.floats(0.02, 0.98))
-    k_lo = draw(st.floats(1.0, 7.0))
-    q_lo = draw(st.floats(0.0, 2000.0))
-    ends = [draw(st.floats(k_lo, 7.0)), draw(st.floats(q_lo, 2000.0))]
     freq_x = 0.0 if scheme is SchemeKind.COMPACT4 else draw(st.floats(0.0, 20.0))
-    k, q = (_coefficient(lo, hi, freq_x, draw(st.floats(0.0, 20.0)), draw(st.floats(0.0, 6.3)))
-            for lo, hi in zip((k_lo, q_lo), ends))
+
+    def coefficient(least, most):
+        """lo + (hi - lo) (1 + sin(freq_x x + freq_t t + phase)) / 2, in [lo, hi] within [least, most]."""
+        lo = draw(st.floats(least, most))
+        hi = draw(st.floats(lo, most))
+        freq_t, phase = draw(st.floats(0.0, 20.0)), draw(st.floats(0.0, 6.3))
+        return lambda x, t: lo + (hi - lo) * (0.5 + 0.5 * np.sin(freq_x * np.asarray(x) + freq_t * t + phase))
+
+    k, q = coefficient(1.0, 7.0), coefficient(0.0, 2000.0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = GridSpec(N=n_sub, M=m_steps).x_nodes()
     if draw(st.booleans()):  # six modes
