@@ -173,9 +173,10 @@ def run_experiment(spec: ExperimentSpec) -> ConvergenceTable:
 
 
 def sci6(x: float) -> str:
-    """Scientific notation with 6 decimal digits and a bare exponent, e.g. 4.556026e-3."""
-    mant, exp = f"{x:.6e}".split("e")
-    return f"{mant}e{int(exp)}"
+    """Scientific notation with 6 decimal digits and a bare exponent, e.g. 4.556026e-3;
+    nan, inf and -inf as such."""
+    mant, e, exp = f"{x:.6e}".partition("e")
+    return f"{mant}e{int(exp)}" if e else mant
 
 
 _COLUMNS = ("alpha", "tau", "h", "err_L2", "co_L2", "err_C", "co_C", "err_grad", "co_grad")

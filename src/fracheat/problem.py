@@ -5,7 +5,7 @@ The equation solved downstream is
     D^alpha_t u = d/dx(k(x,t) du/dx) - q(x,t) u + f(x,t),   0 < x < l, 0 < t <= T,
 
 with homogeneous Dirichlet boundaries and u(x, 0) = u0(x), where
-k >= c1 > 0 and q >= 0.
+k > 0 and q >= 0.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ Field = Callable[[np.ndarray, float], np.ndarray]
 
 
 class Coefficients(str, enum.Enum):
-    """Which structure the diffusion/reaction coefficients have."""
+    """Which coefficient pair ``manufactured_case`` builds."""
 
     VARIABLE_XT = "variable_xt"
     TIME_ONLY = "time_only"
@@ -59,7 +59,7 @@ class GridSpec:
                 raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
         for name in ("length", "horizon"):
             v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
+            if isinstance(v, bool) or not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
     @property
@@ -84,20 +84,12 @@ class GridSpec:
 @dataclass(frozen=True)
 class DiffusionProblem:
     """Problem data. k, q, f take (x, t) with x an array; u0 takes x.  ``solve`` checks
-    their values; c1_lower and coefficients are checked here."""
+    their values."""
 
     k: Field
     q: Field
     f: Field
     u0: Callable[[np.ndarray], np.ndarray]
-    c1_lower: float = 1.0
-    coefficients: Coefficients = Coefficients.VARIABLE_XT
-
-    def __post_init__(self) -> None:
-        c1 = self.c1_lower
-        if isinstance(c1, bool) or not (isinstance(c1, numbers.Real) and math.isfinite(c1) and c1 > 0.0):
-            raise ValueError(f"c1_lower must be finite and positive, got {c1!r}")
-        object.__setattr__(self, "coefficients", Coefficients(self.coefficients))
 
 
 @dataclass(frozen=True)
@@ -237,5 +229,5 @@ def manufactured_case(
     def u0(x):
         return np.sin(np.pi * np.asarray(x, dtype=float))
 
-    prob = DiffusionProblem(k=k, q=q, f=f, u0=u0, c1_lower=1.0, coefficients=variant)
+    prob = DiffusionProblem(k=k, q=q, f=f, u0=u0)
     return ManufacturedCase(u_exact=u_exact, caputo_u=caputo_u, problem=prob, alpha=alpha)

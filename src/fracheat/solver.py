@@ -30,7 +30,7 @@ import numpy as np
 import scipy
 
 from .kernel import AlphaParam, _l2_levels, a_coeff, b_coeff
-from .problem import Coefficients, DiffusionProblem, GridSpec
+from .problem import DiffusionProblem, GridSpec
 
 __all__ = [
     "SchemeKind",
@@ -151,11 +151,12 @@ def _require_finite(sys: TridiagonalSystem) -> None:
             raise ValueError(f"tridiagonal system has a non-finite entry: {name}[{bad[0]}] = {v[bad[0]]}")
 
 
-def _evaluate(problem: DiffusionProblem, name: str, nodes: np.ndarray, t: float) -> np.ndarray:
+def _evaluate(problem: DiffusionProblem, name: str, nodes: np.ndarray, t: float, compact: bool = False) -> np.ndarray:
     """Field ``name`` of the problem at ``nodes`` and time t, checked against
-    what the analysis assumes: finite values, k >= c1 > 0, q >= 0, k and q
-    constant in x if declared time-only, u0 zero at both ends.  Every value
-    the solver uses comes through here; an error names the field, t and x.
+    what the analysis assumes: finite values, k > 0, q >= 0, u0 zero at both
+    ends, and for the compact scheme k and q constant in x.  Every value the
+    solver uses comes through here, so the paper's c1 is the least k a solve
+    evaluates; an error names the field, t and x.
     The least and the greatest value decide every check but the u0 one: a
     NaN anywhere makes both NaN, an infinity shows in one of them, and their
     difference is np.ptp.  The node is searched for only when a check fails.
@@ -167,12 +168,12 @@ def _evaluate(problem: DiffusionProblem, name: str, nodes: np.ndarray, t: float)
     bad = None  # an array whose argmax is the offending node
     if not (math.isfinite(lo) and math.isfinite(hi)):
         what, bad = f"{name} is not finite", ~np.isfinite(v)
-    elif name == "k" and lo < problem.c1_lower - 1e-12:
-        what, bad = f"k drops below c1={problem.c1_lower}", v < problem.c1_lower - 1e-12
+    elif name == "k" and lo <= 0.0:
+        what, bad = "k is not positive", v <= 0.0
     elif name == "q" and lo < -1e-12:
         what, bad = "q is negative", v < -1e-12
-    elif name in ("k", "q") and problem.coefficients is Coefficients.TIME_ONLY and hi - lo > 1e-12:
-        what, bad = f"coefficients declared time-only but {name} varies in x", np.abs(v - v[0])
+    elif compact and name in ("k", "q") and hi - lo > 1e-12:
+        what, bad = f"compact4 needs time-only coefficients but {name} varies in x", np.abs(v - v[0])
     elif name == "u0" and max(abs(v[0]), abs(v[-1])) > 1e-12:
         what, bad = "u0 must vanish at both boundaries", np.r_[abs(v[0]), np.zeros(v.size - 2), abs(v[-1])]
     if bad is not None:
@@ -273,8 +274,8 @@ def _advance(
     rhs = _by_parts(w, kappa) @ layers[: j + 1]
     rhs *= rho  # f + rho * hist
     rhs += _evaluate(problem, "f", x, t_new)
-    a_half = _evaluate(problem, "k", x_half, t_new)
-    d = _evaluate(problem, "q", x, t_new)[1:-1]
+    a_half = _evaluate(problem, "k", x_half, t_new, compact)
+    d = _evaluate(problem, "q", x, t_new, compact)[1:-1]
     h2 = grid.h * grid.h
     coef = rho * w[0]
     if compact:
@@ -342,8 +343,6 @@ def solve(
     contiguous view.
     """
     compact = SchemeKind(scheme) is SchemeKind.COMPACT4
-    if compact and problem.coefficients is not Coefficients.TIME_ONLY:
-        raise ValueError("the compact scheme requires time-only coefficients k(t), q(t)")
     m1 = max(1, math.ceil((1.0 / grid.tau) ** (1.0 / (2.0 - alpha.alpha))))
     rows = np.zeros((max(grid.M, m1) + 1, grid.N + 1))
     rows[0] = _evaluate(problem, "u0", grid.x_nodes(), 0.0)

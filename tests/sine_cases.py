@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from fracheat import Coefficients, DiffusionProblem, GridSpec, SchemeKind
+from fracheat import DiffusionProblem, GridSpec, SchemeKind
 
 
 def sine_case(g, caputo_g, scheme: SchemeKind, grid: GridSpec):
@@ -42,7 +42,5 @@ def sine_case(g, caputo_g, scheme: SchemeKind, grid: GridSpec):
     def u_exact(x, t):
         return np.sin(np.pi * x) * g(t)
 
-    problem = DiffusionProblem(
-        k=k, q=q, f=f, u0=lambda x: u_exact(x, 0.0), c1_lower=1.0, coefficients=Coefficients.TIME_ONLY
-    )
+    problem = DiffusionProblem(k=k, q=q, f=f, u0=lambda x: u_exact(x, 0.0))
     return problem, u_exact

@@ -239,7 +239,6 @@ def test_criterion_09_stability_smoke():
         q=lambda x, t: 1.0 - np.sin(np.asarray(x) * t),
         f=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
         u0=lambda x: np.interp(x, nodes, u0_vals),
-        c1_lower=1.0,
     )
     # a priori stability constant for l=1, c1=1; an unstable scheme blows
     # through this within a few steps while the true ratios sit near 1e-3

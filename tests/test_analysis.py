@@ -237,6 +237,15 @@ def test_sci6_format():
     assert sci6(1.5) == "1.500000e0"
 
 
+def test_sci6_gives_non_finite_values_as_such():
+    assert [sci6(v) for v in (math.nan, math.inf, -math.inf, np.float64(math.nan))] == ["nan", "inf", "-inf", "nan"]
+    # measure_errors passes a NaN of u_exact through to the report
+    alpha = AlphaParam(0.5)
+    case = manufactured_case(alpha)
+    report = measure_errors(solve(case.problem, GridSpec(N=8, M=4), alpha), lambda x, t: np.full_like(x, math.nan))
+    assert sci6(report.err_L2) == "nan"
+
+
 def test_csv_emission_and_roundtrip():
     spec = experiment_spec(1, 0.5, depth=2)
     table = run_experiment(spec)

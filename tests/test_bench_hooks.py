@@ -12,6 +12,10 @@ import inspect
 import json
 from pathlib import Path
 
+import pytest
+
+from fracheat import AlphaParam, Coefficients, GridSpec, SchemeKind, manufactured_case, solve
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -61,3 +65,18 @@ def test_every_benchmark_workload_builds():
     parts = {name: [part.name for part in worker.build(name, 0).parts] for name in workloads}
     assert parts == {"paper_tables": ["table1", "table2", "table3", "table4", "properties"],
                      "fine_h": ["table2"], "stress": ["order2", "compact4"]}
+
+
+@pytest.mark.parametrize("variant", list(Coefficients))
+def test_traced_case_records_coefficient_spans_and_solves_the_same(variant):
+    # wrap_case rebuilds the problem with dataclasses.replace; where that
+    # fails it records the case as absent and problem.coef_eval reads 0
+    alpha, grid = AlphaParam(0.5), GridSpec(N=8, M=4)
+    scheme = SchemeKind.COMPACT4 if variant is Coefficients.TIME_ONLY else SchemeKind.ORDER2
+    case = manufactured_case(alpha, variant)
+    tracer = tracing.Tracer()
+    traced = tracer.wrap_case(case)
+    assert not tracer.absent
+    layers = solve(traced.problem, grid, alpha, scheme).layers
+    assert any(span[0] == tracing.COEF_SPAN for span in tracer.spans)
+    assert layers.tobytes() == solve(case.problem, grid, alpha, scheme).layers.tobytes()

@@ -91,6 +91,11 @@ def test_time_series_rejects_non_finite_samples(bad, at):
         TimeSeries(values, 0.1)
 
 
+def test_time_series_rejects_a_bool_tau():
+    with pytest.raises(ValueError, match="tau must be finite and positive, got True"):
+        TimeSeries(np.arange(4.0), True)
+
+
 def test_time_series_keeps_finite_samples_bit_for_bit():
     values = np.array([0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.0 / 3.0])
     assert TimeSeries(values, 0.1).values.tobytes() == values.tobytes()

@@ -43,6 +43,13 @@ def test_gridspec_rejects_bad_sizes():
     assert grid.x_nodes().size == 11 and grid.t_nodes().size == 5
 
 
+@pytest.mark.parametrize("field", ["length", "horizon"])
+def test_gridspec_rejects_a_bool_length_or_horizon(field):
+    # True used to build a unit grid
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got True"):
+        GridSpec(N=4, M=4, **{field: True})
+
+
 def test_grid_product_roundtrip():
     g = GridSpec(N=2, M=2)
     assert g.h == 0.5 and g.tau == 0.5
@@ -140,45 +147,48 @@ def test_validate_on_grid_accepts_builtin_case():
 def test_validate_on_grid_rejects_bad_coefficients():
     base = manufactured_case(ALPHA).problem
     sick_k = DiffusionProblem(
-        k=lambda x, t: 0.5 * np.ones_like(np.asarray(x, dtype=float)),
-        q=base.q, f=base.f, u0=base.u0, c1_lower=1.0)
-    _rejects(sick_k, f"k drops below c1=1.0 at t={T1}, x=0.0625")
+        k=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)), q=base.q, f=base.f, u0=base.u0)
+    _rejects(sick_k, f"k is not positive at t={T1}, x=0.0625")
     sick_q = DiffusionProblem(
-        k=base.k, q=lambda x, t: -np.ones_like(np.asarray(x, dtype=float)),
-        f=base.f, u0=base.u0, c1_lower=1.0)
+        k=base.k, q=lambda x, t: -np.ones_like(np.asarray(x, dtype=float)), f=base.f, u0=base.u0)
     _rejects(sick_q, f"q is negative at t={T1}, x=0.0")
-    sick_u0 = DiffusionProblem(
-        k=base.k, q=base.q, f=base.f, u0=lambda x: np.cos(np.asarray(x)), c1_lower=1.0)
+    sick_u0 = DiffusionProblem(k=base.k, q=base.q, f=base.f, u0=lambda x: np.cos(np.asarray(x)))
     _rejects(sick_u0, "u0 must vanish at both boundaries at t=0.0, x=0.0")
 
 
-def test_time_only_declaration_is_checked():
+def test_compact4_rejects_x_varying_k():
     base = manufactured_case(ALPHA, Coefficients.VARIABLE_XT).problem
-    lying = DiffusionProblem(k=base.k, q=base.q, f=base.f, u0=base.u0,
-                             c1_lower=1.0, coefficients=Coefficients.TIME_ONLY)
-    _rejects(lying, f"time-only but k varies in x at t={T1}, x=0.9375")
+    _rejects(base, f"compact4 needs time-only coefficients but k varies in x at t={T1}, x=0.9375",
+             SchemeKind.COMPACT4)
 
 
 def _with(base, **fields):
     return dataclasses.replace(base, **fields)
 
 
-@pytest.mark.parametrize("c1", [math.nan, math.inf, -math.inf, 0.0, -1.0, True])
-def test_problem_rejects_a_c1_lower_that_would_switch_the_k_check_off(c1):
-    # c1 = nan used to pass every k (lo < nan is False), and c1 = -1 let
-    # k = -0.5 through to a blow-up
-    with pytest.raises(ValueError, match="^c1_lower must be finite and positive"):
-        _with(manufactured_case(ALPHA).problem, c1_lower=c1)
+def test_problem_is_its_four_fields():
+    assert [f.name for f in dataclasses.fields(DiffusionProblem)] == ["k", "q", "f", "u0"]
+    base = manufactured_case(ALPHA).problem
+    for setting in ("c1_lower", "coefficients"):
+        with pytest.raises(TypeError, match=setting):
+            _with(base, **{setting: 1.0})
 
 
-def test_problem_takes_coefficients_by_value_and_rejects_unknown_ones():
-    case = manufactured_case(ALPHA, Coefficients.TIME_ONLY)
-    by_name = _with(case.problem, coefficients="time_only")
-    assert by_name.coefficients is Coefficients.TIME_ONLY
-    assert (solve(by_name, GRID, ALPHA, SchemeKind.COMPACT4).layers.tobytes()
-            == solve(case.problem, GRID, ALPHA, SchemeKind.COMPACT4).layers.tobytes())
-    with pytest.raises(ValueError, match="'bogus' is not a valid Coefficients"):
-        _with(case.problem, coefficients="bogus")
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_k_below_one_solves(scheme):
+    # k = 0.5 > 0 meets the paper's k >= c1 > 0 with c1 = 0.5
+    base = manufactured_case(ALPHA, Coefficients.TIME_ONLY).problem
+    half_k = _with(base, k=lambda x, t: np.full(np.shape(x), 0.5))
+    assert np.isfinite(solve(half_k, GRID, ALPHA, scheme).layers).all()
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+@pytest.mark.parametrize("i", [0, 3, 7])
+def test_k_zero_at_one_half_node_is_named(scheme, i):
+    base = manufactured_case(ALPHA, Coefficients.TIME_ONLY).problem
+    x_bad = GRID.x_half_nodes()[i]
+    k_zero = _with(base, k=lambda x, t: np.where(x == x_bad, 0.0, base.k(x, t)))
+    _rejects(k_zero, f"k is not positive at t={T1}, x={x_bad}", scheme)
 
 
 def test_validate_on_grid_rejects_non_finite_k():
@@ -193,11 +203,12 @@ def test_validate_on_grid_rejects_non_finite_q():
     _rejects(sick, f"q is not finite at t={T1}, x=0.0")
 
 
-def test_time_only_declaration_rejects_x_varying_q():
+def test_compact4_rejects_x_varying_q_and_order2_solves_it():
     base = manufactured_case(ALPHA, Coefficients.TIME_ONLY).problem
-    lying = _with(base, q=lambda x, t: 5.0 * np.asarray(x, dtype=float))
-    for scheme in SchemeKind:
-        _rejects(lying, f"q varies in x at t={T1}, x=1.0", scheme)
+    x_varying = _with(base, q=lambda x, t: 5.0 * np.asarray(x, dtype=float))
+    _rejects(x_varying, f"compact4 needs time-only coefficients but q varies in x at t={T1}, x=1.0",
+             SchemeKind.COMPACT4)
+    assert np.isfinite(solve(x_varying, GRID, ALPHA, SchemeKind.ORDER2).layers).all()
 
 
 def test_non_finite_source_and_initial_value_are_rejected():
@@ -217,10 +228,10 @@ def test_fields_must_return_one_value_per_node(scheme):
 
 
 def test_bad_values_only_at_bootstrap_substeps_are_rejected():
-    """k < c1 or q < 0 for t < tau only: the L1 bootstrap is the only user."""
+    """k <= 0 or q < 0 for t < tau only: the L1 bootstrap is the only user."""
     base = manufactured_case(ALPHA).problem
-    early_k = lambda x, t: (0.5 if t < GRID.tau else 2.0) * np.ones_like(x)
-    _rejects(_with(base, k=early_k), f"k drops below c1=1.0 at t={T1}, x=0.0625")
+    early_k = lambda x, t: (0.0 if t < GRID.tau else 2.0) * np.ones_like(x)
+    _rejects(_with(base, k=early_k), f"k is not positive at t={T1}, x=0.0625")
     early_q = lambda x, t: (-1.0 if t < GRID.tau else 1.0) * np.ones_like(x)
     _rejects(_with(base, q=early_q), f"q is negative at t={T1}, x=0.0")
     # one bad node at the second substep only
@@ -229,7 +240,7 @@ def test_bad_values_only_at_bootstrap_substeps_are_rejected():
 
 
 _BAD_VALUES = {
-    "k": (np.nan, np.inf, 0.5),  # c1 = 1
+    "k": (np.nan, np.inf, 0.0),
     "q": (np.nan, -np.inf, -1.0),
     "f": (np.nan, np.inf),
     "u0": (np.nan, -np.inf),
@@ -426,17 +437,17 @@ def test_a_field_that_writes_to_its_nodes_is_stopped():
         solve(_with(base, k=k_in_place), GRID, ALPHA)
 
 
-def _evaluated(values, name, variant=Coefficients.VARIABLE_XT):
+def _evaluated(values, name, compact=False):
     """``_evaluate`` of field ``name`` returning ``values`` at nodes of its size."""
-    base = manufactured_case(ALPHA, variant).problem
+    base = manufactured_case(ALPHA).problem
     nodes = np.linspace(0.0, 1.0, values.size)
     field = (lambda x: values.copy()) if name == "u0" else (lambda x, t: values.copy())
-    return _evaluate(_with(base, **{name: field}), name, nodes, 0.25), nodes
+    return _evaluate(_with(base, **{name: field}), name, nodes, 0.25, compact), nodes
 
 
-def _evaluate_error(values, name, variant=Coefficients.VARIABLE_XT):
+def _evaluate_error(values, name, compact=False):
     with pytest.raises(ValueError) as err:
-        _evaluated(values, name, variant)
+        _evaluated(values, name, compact)
     return str(err.value)
 
 
@@ -457,13 +468,13 @@ def test_evaluate_names_the_first_non_finite_node(n):
 
 
 def test_evaluate_checks_the_bounds_at_their_thresholds():
-    c1 = manufactured_case(ALPHA).problem.c1_lower
     nodes = np.linspace(0.0, 1.0, 9)
     k = np.full(9, 2.0)
-    k[4] = c1 - 1e-12
+    k[4] = np.nextafter(0.0, 1.0)
     assert _evaluated(k, "k")[0].tobytes() == k.tobytes()
-    k[6] = np.nextafter(c1 - 1e-12, 0.0)
-    assert _evaluate_error(k, "k") == f"k drops below c1={c1} at t=0.25, x={nodes[6]}"
+    for zero in (0.0, -0.0):
+        k[6] = zero
+        assert _evaluate_error(k, "k") == f"k is not positive at t=0.25, x={nodes[6]}"
     q = np.full(9, 0.5)
     q[2] = -1e-12
     assert _evaluated(q, "q")[0].tobytes() == q.tobytes()
@@ -471,21 +482,22 @@ def test_evaluate_checks_the_bounds_at_their_thresholds():
     assert _evaluate_error(q, "q") == f"q is negative at t=0.25, x={nodes[7]}"
 
 
-def test_evaluate_checks_time_only_spread_at_its_threshold():
+def test_evaluate_checks_compact4_spread_at_its_threshold():
     # q spreads exactly 1e-12 (pass) or 2e-12 (fail) from 0; k, near 1.5,
     # spreads by the last and the first difference of doubles there not
-    # above 1e-12
+    # above 1e-12; order2 takes any spread
     nodes = np.linspace(0.0, 1.0, 9)
     ulp = 2.0**-52
     for name, base, at, past in (("q", 0.0, 1e-12, 2e-12), ("k", 1.5, 4503 * ulp, 4504 * ulp)):
         v = np.full(9, base)
         v[3] = base + at
         assert np.ptp(v) <= 1e-12 and (name == "k" or np.ptp(v) == 1e-12)
-        assert _evaluated(v, name, Coefficients.TIME_ONLY)[0].tobytes() == v.tobytes()
+        assert _evaluated(v, name, compact=True)[0].tobytes() == v.tobytes()
         v[5] = base + past
         assert np.ptp(v) > 1e-12
-        assert _evaluate_error(v, name, Coefficients.TIME_ONLY) == (
-            f"coefficients declared time-only but {name} varies in x at t=0.25, x={nodes[5]}")
+        assert _evaluate_error(v, name, compact=True) == (
+            f"compact4 needs time-only coefficients but {name} varies in x at t=0.25, x={nodes[5]}")
+        assert _evaluated(v, name)[0].tobytes() == v.tobytes()
 
 
 def test_memo_hits_only_on_the_same_shape_bytes_and_t():

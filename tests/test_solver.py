@@ -40,8 +40,6 @@ def constant_coefficient_problem(f=None, u0=None, q_const=0.0):
         q=lambda x, t: q_const * np.ones_like(np.asarray(x, dtype=float)),
         f=f if f is not None else (lambda x, t: zero(x)),
         u0=u0 if u0 is not None else zero,
-        c1_lower=1.0,
-        coefficients=Coefficients.TIME_ONLY,
     )
 
 
@@ -860,7 +858,6 @@ def test_solve_stability_energy_bounded():
         q=lambda x, t: 1.0 - np.sin(np.asarray(x) * t),
         f=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
         u0=lambda x: np.interp(x, nodes, u0_vals),
-        c1_lower=1.0,
     )
     for a in (0.1, 0.9):
         alpha = AlphaParam(a)

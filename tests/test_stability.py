@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracheat import AlphaParam, Coefficients, DiffusionProblem, GridSpec, SchemeKind, solve
+from fracheat import AlphaParam, DiffusionProblem, GridSpec, SchemeKind, solve
 
 # Each side of a bound is a few correctly rounded operations on the layers
 # (squares, math.fsum, sqrt, **, math.gamma), each within an ulp or two of
@@ -61,8 +61,7 @@ def cases(draw, scheme):
     g0, g1 = rng.uniform(-1.0, 1.0, (2, x.size)) * draw(st.sampled_from([0.0, 1.0, 100.0]))
     g0[[0, -1]] = g1[[0, -1]] = 0.0
     problem = DiffusionProblem(
-        k=k, q=q, f=lambda x, t: g0 + t * g1, u0=lambda x: y0.copy(), c1_lower=1.0,
-        coefficients=Coefficients.TIME_ONLY if scheme is SchemeKind.COMPACT4 else Coefficients.VARIABLE_XT)
+        k=k, q=q, f=lambda x, t: g0 + t * g1, u0=lambda x: y0.copy())
     return problem, GridSpec(N=n_sub, M=m_steps), AlphaParam(alpha), (g0, g1)
 
 
