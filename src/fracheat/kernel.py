@@ -68,8 +68,9 @@ class TimeSeries:
         bad = np.flatnonzero(~np.isfinite(self.values))
         if bad.size:
             raise ValueError(f"time series samples must be finite, got values[{bad[0]}] = {self.values[bad[0]]}")
-        if isinstance(self.tau, bool) or not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        tau = self.tau
+        if isinstance(tau, bool) or not (isinstance(tau, numbers.Real) and math.isfinite(tau) and tau > 0.0):
+            raise ValueError(f"tau must be finite and positive, got {tau}")
 
 
 def _pow_increment(l, beta):

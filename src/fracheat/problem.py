@@ -59,7 +59,7 @@ class GridSpec:
                 raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
         for name in ("length", "horizon"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not (v > 0.0 and math.isfinite(v)):
+            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
     @property

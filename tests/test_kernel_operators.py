@@ -91,9 +91,10 @@ def test_time_series_rejects_non_finite_samples(bad, at):
         TimeSeries(values, 0.1)
 
 
-def test_time_series_rejects_a_bool_tau():
-    with pytest.raises(ValueError, match="tau must be finite and positive, got True"):
-        TimeSeries(np.arange(4.0), True)
+@pytest.mark.parametrize("tau", [True, np.True_, "0.1"])
+def test_time_series_rejects_a_bool_or_text_tau(tau):
+    with pytest.raises(ValueError, match=f"tau must be finite and positive, got {tau}"):
+        TimeSeries(np.arange(4.0), tau)
 
 
 def test_time_series_keeps_finite_samples_bit_for_bit():

@@ -43,11 +43,12 @@ def test_gridspec_rejects_bad_sizes():
     assert grid.x_nodes().size == 11 and grid.t_nodes().size == 5
 
 
+@pytest.mark.parametrize("value", [True, np.True_, "1"])
 @pytest.mark.parametrize("field", ["length", "horizon"])
-def test_gridspec_rejects_a_bool_length_or_horizon(field):
-    # True used to build a unit grid
-    with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got True"):
-        GridSpec(N=4, M=4, **{field: True})
+def test_gridspec_rejects_a_bool_or_text_length_or_horizon(field, value):
+    # True used to build a unit grid, like N=True before it was refused
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {value!r}"):
+        GridSpec(N=4, M=4, **{field: value})
 
 
 def test_grid_product_roundtrip():

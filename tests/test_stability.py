@@ -60,8 +60,7 @@ def cases(draw, scheme):
     # [t_0, t_j], the bootstrap's substeps included, falls on a main level
     g0, g1 = rng.uniform(-1.0, 1.0, (2, x.size)) * draw(st.sampled_from([0.0, 1.0, 100.0]))
     g0[[0, -1]] = g1[[0, -1]] = 0.0
-    problem = DiffusionProblem(
-        k=k, q=q, f=lambda x, t: g0 + t * g1, u0=lambda x: y0.copy())
+    problem = DiffusionProblem(k=k, q=q, f=lambda x, t: g0 + t * g1, u0=lambda x: y0.copy())
     return problem, GridSpec(N=n_sub, M=m_steps), AlphaParam(alpha), (g0, g1)
 
 
