@@ -14,7 +14,7 @@ import numpy as np
 
 from .kernel import AlphaParam
 from .problem import Coefficients, GridSpec, manufactured_case
-from .solver import SchemeKind, SolutionHistory, solve
+from .solver import SchemeKind, SolutionHistory, _one_blas_thread, solve
 
 __all__ = [
     "ConvergenceTable",
@@ -84,15 +84,16 @@ def measure_errors(history: SolutionHistory, u_exact) -> ErrorReport:
     times = grid.t_nodes()
     buf = np.empty((max(1, _BLOCK_DOUBLES // x.size), x.size))
     worst = np.zeros(3)  # max |z|, max sum of z_i^2 over the interior, max sum of ((z_i - z_{i-1})/h)^2
-    for start in range(0, times.size, buf.shape[0]):
-        z = buf[: times.size - start]
-        for r, t in enumerate(times[start : start + z.shape[0]]):
-            np.subtract(history.layers[start + r], np.asarray(u_exact(x, t), dtype=float), out=z[r])
-        d = np.diff(z, axis=1)
-        d /= h
-        sums = (_row_sums_of_squares(z[:, 1:-1]).max(), _row_sums_of_squares(d).max())
-        del d
-        np.maximum(worst, (np.abs(z, out=z).max(), *sums), out=worst)
+    with _one_blas_thread:
+        for start in range(0, times.size, buf.shape[0]):
+            z = buf[: times.size - start]
+            for r, t in enumerate(times[start : start + z.shape[0]]):
+                np.subtract(history.layers[start + r], np.asarray(u_exact(x, t), dtype=float), out=z[r])
+            d = np.diff(z, axis=1)
+            d /= h
+            sums = (_row_sums_of_squares(z[:, 1:-1]).max(), _row_sums_of_squares(d).max())
+            del d
+            np.maximum(worst, (np.abs(z, out=z).max(), *sums), out=worst)
     return ErrorReport(err_L2=math.sqrt(h * worst[1]), err_C=float(worst[0]), err_grad=math.sqrt(h * worst[2]))
 
 

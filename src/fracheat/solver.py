@@ -17,14 +17,18 @@ row 1, and the main march writes rows 2..M before it reads them.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import enum
 import importlib.machinery
 import importlib.util
 import math
 import os
+import queue
 import sys
+import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy
@@ -79,6 +83,76 @@ def _load_flapack():
 lapack = _load_flapack()
 
 
+class _OneBlasThread:
+    """A scope inside which numpy's OpenBLAS runs on one thread; ``solve`` and
+    ``analysis.measure_errors`` run in it.
+
+    After each call OpenBLAS's idle workers spin for a while, so a solve's
+    short BLAS calls (the history products, the error norms' dots) keep a
+    second core busy for no gain, and the look-ahead of ``_march`` finds it
+    taken.  The thread count is process-wide, and so is the scope: the first
+    thread to enter saves the count and sets 1, the last to leave restores
+    it, under one lock, so nested and concurrent scopes leave the count as
+    they found it.  ``openblas_{get,set}_num_threads`` are looked up once,
+    at the first entry, in the library numpy's core extension links to, with
+    the ``scipy_`` prefix and ``64_`` suffix that wheel builds use or
+    without them.  Where no setter is found the scope changes nothing.
+    """
+
+    _VARIANTS = (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", ""))
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._calls: tuple | None = None  # (get, set); () where none was found; None until looked up
+        self._depth = 0
+        self._saved = 1
+
+    def _lookup(self) -> tuple:
+        if self._calls is None:
+            self._calls = ()
+            core = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get("numpy.core._multiarray_umath")
+            try:
+                lib = ctypes.CDLL(core.__file__)
+            except (AttributeError, OSError):
+                return self._calls
+            for prefix, suffix in self._VARIANTS:
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = (), ctypes.c_int
+                    put.argtypes, put.restype = (ctypes.c_int,), None
+                    self._calls = (get, put)
+                    break
+        return self._calls
+
+    def found(self) -> bool:
+        """Whether the thread-count setter was found; looks it up if not yet done."""
+        with self._lock:
+            return bool(self._lookup())
+
+    def __enter__(self) -> None:
+        with self._lock:
+            calls = self._lookup()
+            if calls and self._depth == 0:
+                self._saved = calls[0]()
+                calls[1](1)
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._calls and self._depth == 0:
+                self._calls[1](self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
+
+# The fewest spatial subintervals at which a march evaluates each level's
+# fields one level ahead on a helper thread.  Table 2 in-process on a 2-core
+# box: the look-ahead lost at N = 5000 and gained from N = 10 000 on.
+_LOOKAHEAD_MIN_N = 8192
+
+
 class SchemeKind(str, enum.Enum):
     ORDER2 = "order2"  # second order in space, k = k(x,t)
     COMPACT4 = "compact4"  # fourth order in space, needs k = k(t)
@@ -116,6 +190,16 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     backward stable, and it solves systems the sweep cannot, such as
     [[2, 4, 0], [1, 2, 2], [0, 4, 2]].
 
+    A system passed with ``lower is upper``, as both schemes assemble theirs,
+    is factored by ``dpttrf`` (L D L^T, no pivoting) in about 40-60 % of
+    dgttrf's time at 50 000 rows.  Where dgttrf swaps no rows, dpttrf's D
+    and multipliers are dgttrf's pivots and multipliers, by the same
+    operations, so the same ``dgttrs`` call gives the same bits; where it
+    would swap, the matrix is positive definite and unpivoted L D L^T is
+    backward stable.  Where dpttrf meets a pivot <= 0 (the matrix is not
+    positive definite) or a pivot under the floor below, the system takes
+    the dgttrf path instead, so it is solved, or refused, as any other.
+
     A NaN or an infinity in any of the four arrays raises ``ValueError``
     naming the array and its first such index; it makes the pivot floor or
     a pivot non-finite, or shows in sum_i |p_i| x_i, and only then are the
@@ -130,14 +214,24 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     if n < 3:
         pad = np.zeros(3 - n)
         lower, diag, upper, rhs = np.r_[lower, pad], np.r_[diag, pad + 1.0], np.r_[upper, pad], np.r_[rhs, pad]
-    c, p, l, l2, ipiv, _ = lapack.dgttrf(upper, diag, lower)
-    pivots = np.abs(p[:n])
     floor = 1e-300 + 1e-15 * np.maximum.reduce(np.abs(sys.diag))
-    if not np.minimum.reduce(pivots) > floor:
-        _require_finite(sys)
-        raise ZeroDivisionError(f"zero pivot in tridiagonal elimination (row {np.flatnonzero(~(pivots > floor))[0]})")
-    x = lapack.dgttrs(c, p, l, l2, ipiv, rhs, trans="T")[0][:n]
-    if not math.isfinite(np.dot(pivots, x)):
+    factors = None
+    if sys.lower is sys.upper:
+        p, c, info = lapack.dpttrf(diag, lower)
+        pivots = np.abs(p[:n])
+        if info == 0 and np.minimum.reduce(pivots) > floor:
+            factors = c, p, lower, np.zeros(diag.size - 2), np.arange(1, diag.size + 1, dtype=np.int32)
+    if factors is None:
+        c, p, l, l2, ipiv, _ = lapack.dgttrf(upper, diag, lower)
+        pivots = np.abs(p[:n])
+        if not np.minimum.reduce(pivots) > floor:
+            _require_finite(sys)
+            raise ZeroDivisionError(f"zero pivot in tridiagonal elimination (row {np.flatnonzero(~(pivots > floor))[0]})")
+        factors = c, p, l, l2, ipiv
+    x = lapack.dgttrs(*factors, rhs, trans="T")[0][:n]
+    with np.errstate(invalid="ignore"):  # an infinite pivot times a zero of x
+        total = np.dot(pivots, x)
+    if not math.isfinite(total):
         _require_finite(sys)
     return x
 
@@ -239,43 +333,40 @@ def _by_parts(w: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _advance(
-    problem: DiffusionProblem,
     grid: GridSpec,
-    nodes: tuple[np.ndarray, np.ndarray],
     layers: np.ndarray,
     j: int,
-    t_new: float,
     rho: float,
-    weights: Callable[[int], np.ndarray],
+    w: np.ndarray,
     kappa: np.ndarray,
+    fields: tuple[np.ndarray, np.ndarray, np.ndarray],
     compact: bool,
 ) -> None:
     """Write the interior of layer j+1 from layers 0..j.
 
-    With the level's weights w = weights(j), the time derivative at t_new is
+    With the level's weights w, the time derivative at t_{j+1} is
     rho * (w_0 y^{j+1} - hist) with
     hist = w_0 y^j - sum_{s=0}^{j-1} w_{j-s} (y^{s+1} - y^s), summed by parts
     as one matrix-vector product of ``_by_parts(w, kappa)`` with the
     contiguous layers 0..j, with no temporary the size of the history.  For
-    order2 the implicit matrix is rho w_0 I - Lambda(t_new) and the
+    order2 the implicit matrix is rho w_0 I - Lambda(t_{j+1}) and the
     right-hand side f + rho * hist; for compact4 they are
     (rho w_0 + q) H - k D2, constant since k = k(t), q = q(t), and
-    H (f + rho * hist).  f, k and q come from ``_evaluate``, once per level,
-    at ``nodes`` = (x_i, x_{i-1/2}), which ``_march`` builds once for all its
-    levels.  The system is built in place, by the same operations in the
-    same order as the plain expressions, so the bits are theirs.  Kept as
-    its own call so that each level's temporaries are freed before the next
-    one is built.  The solve looks up the module-level ``thomas_solve`` at
-    each call, so a wrapper put there (a profiler's span, a test's reference
-    sweep) sees every solve.
+    H (f + rho * hist).  ``fields`` holds the level's f at x_i, k at
+    x_{i-1/2} and q at x_i, as ``_march`` evaluated them.  The system is
+    built in place, by the same operations in the same order as the plain
+    expressions, so the bits are theirs.  Kept as its own call so that each
+    level's temporaries are freed before the next one is built.  The solve
+    looks up the module-level ``thomas_solve`` at each call, so a wrapper
+    put there (a profiler's span, a test's reference sweep) sees every solve.
     """
-    w = weights(j)
-    x, x_half = nodes
+    f, a_half, d = fields
+    del fields
     rhs = _by_parts(w, kappa) @ layers[: j + 1]
     rhs *= rho  # f + rho * hist
-    rhs += _evaluate(problem, "f", x, t_new)
-    a_half = _evaluate(problem, "k", x_half, t_new, compact)
-    d = _evaluate(problem, "q", x, t_new, compact)[1:-1]
+    rhs += f
+    del f
+    d = d[1:-1]
     h2 = grid.h * grid.h
     coef = rho * w[0]
     if compact:
@@ -291,6 +382,49 @@ def _advance(
         diag += d
         off = a_half[1:-1] / -h2
     layers[j + 1, 1:-1] = thomas_solve(TridiagonalSystem(lower=off, diag=diag, upper=off, rhs=rhs[1:-1]))
+
+
+def _evaluated_ahead(evaluate: Callable[[int], object], levels: range) -> Iterator:
+    """evaluate(j) for each level j of ``levels`` in order, each computed on
+    one helper thread while the caller works on the level before.
+
+    The helper is asked for level j+1 only once it has delivered level j,
+    so the calls come one at a time, in level order, and none past the last
+    level.  An exception evaluate(j) raised is raised here when the caller
+    asks for level j, and no later level is asked for.  Closing the
+    generator (the caller must, as ``contextlib.closing`` does) lets the
+    helper finish a pending level, discards it, and joins the thread, so no
+    thread outlives the march, whatever ends it.
+    """
+    requests, results = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def work() -> None:
+        for j in iter(requests.get, None):
+            try:
+                results.put((evaluate(j), None))
+            except BaseException as err:  # re-raised on the caller's thread
+                results.put((None, err))
+
+    helper = threading.Thread(target=work, name="fracheat-lookahead")
+    requests.put(levels[0])
+    helper.start()
+    try:
+        for after in (*levels[1:], None):
+            value, err = results.get()
+            if err is not None:
+                raise err
+            requests.put(after)
+            yield value
+    finally:
+        requests.put(None)
+        helper.join()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _march(
@@ -312,16 +446,38 @@ def _march(
     ``weights(j)`` gives the weights w_0..w_j of level j.  Their differences
     go into one buffer per march: a new small array per level, kept by
     numpy's small-block cache, raised the peak RSS of repeated 50 000-node
-    solves by up to 16 MB.  The node arrays are read-only, so a field that
-    writes to its x fails instead of moving the nodes of later levels.
+    solves by up to 16 MB.  Each level's f, k and q come from ``_evaluate``,
+    once per level and in level order, at nodes built once per march.  The
+    node arrays are read-only, so a field that writes to its x fails instead
+    of moving the nodes of later levels.
+
+    On wide grids (N >= ``_LOOKAHEAD_MIN_N``) with two levels or more, at
+    least 2 usable CPUs and OpenBLAS's thread setter found, one helper
+    thread evaluates level j+1's fields (``_evaluated_ahead``) while this
+    thread forms level j's history, assembles it and solves it; otherwise
+    this thread evaluates them itself.  The loop is the same either way.
     """
     rho = tau ** (-alpha.alpha) / alpha.gamma_2ma
     nodes = (grid.x_nodes(), grid.x_half_nodes())
     for x in nodes:
         x.flags.writeable = False
     kappa = np.empty(layers.shape[0] - 1)
-    for j in range(first, layers.shape[0] - 1):
-        _advance(problem, grid, nodes, layers, j, (j + 1) * tau, rho, weights, kappa, compact)
+    levels = range(first, layers.shape[0] - 1)
+
+    def evaluate(j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        x, x_half = nodes
+        t_new = (j + 1) * tau
+        return (
+            _evaluate(problem, "f", x, t_new),
+            _evaluate(problem, "k", x_half, t_new, compact),
+            _evaluate(problem, "q", x, t_new, compact),
+        )
+
+    ahead = grid.N >= _LOOKAHEAD_MIN_N and len(levels) > 1 and _usable_cpus() > 1 and _one_blas_thread.found()
+    fields = _evaluated_ahead(evaluate, levels) if ahead else (evaluate(j) for j in levels)
+    with contextlib.closing(fields):
+        for j in levels:
+            _advance(grid, layers, j, rho, weights(j), kappa, next(fields), compact)
 
 
 def solve(
@@ -341,18 +497,29 @@ def solve(
     where the horizon is short: horizon 0.01 and M = 10 give M1 = 100 at
     alpha = 0.5), and the returned layers are its first M + 1 rows, a
     contiguous view.
+
+    The fields are called once per level, in level order, one call at a
+    time, and k and q are called at t > 0 only.  On wide grids
+    (N >= 8192, with 2 usable CPUs or more) they are called on a helper
+    thread, one level ahead of the solves, so a field must not rely on
+    running on the calling thread; the helper is joined before ``solve``
+    returns or raises.  An error a field raises at level j still surfaces
+    only after level j-1 is written.  numpy's OpenBLAS runs on one thread
+    for the whole solve, and its thread count is restored on exit.
     """
     compact = SchemeKind(scheme) is SchemeKind.COMPACT4
     m1 = max(1, math.ceil((1.0 / grid.tau) ** (1.0 / (2.0 - alpha.alpha))))
-    rows = np.zeros((max(grid.M, m1) + 1, grid.N + 1))
-    rows[0] = _evaluate(problem, "u0", grid.x_nodes(), 0.0)
-    rows[0, [0, -1]] = 0.0
+    with _one_blas_thread:
+        rows = np.zeros((max(grid.M, m1) + 1, grid.N + 1))
+        rows[0] = _evaluate(problem, "u0", grid.x_nodes(), 0.0)
+        rows[0, [0, -1]] = 0.0
 
-    a_l1 = a_coeff(np.arange(m1), alpha)
-    _march(problem, grid, rows[: m1 + 1], 0, grid.tau / m1, alpha, lambda j: a_l1[: j + 1], compact)
-    rows[1] = rows[m1]
+        a_l1 = a_coeff(np.arange(m1), alpha)
+        _march(problem, grid, rows[: m1 + 1], 0, grid.tau / m1, alpha, lambda j: a_l1[: j + 1], compact)
+        rows[1] = rows[m1]
 
-    layers = rows[: grid.M + 1]
-    idx = np.arange(grid.M)
-    _march(problem, grid, layers, 1, grid.tau, alpha, _l2_levels(a_coeff(idx, alpha), b_coeff(idx, alpha)), compact)
+        layers = rows[: grid.M + 1]
+        idx = np.arange(grid.M)
+        l2_weights = _l2_levels(a_coeff(idx, alpha), b_coeff(idx, alpha))
+        _march(problem, grid, layers, 1, grid.tau, alpha, l2_weights, compact)
     return SolutionHistory(layers=layers, grid=grid)

@@ -176,6 +176,24 @@ def test_import_leaves_heavy_scipy_subpackages_unloaded():
     assert _fresh_python(code).strip() == "[]"
 
 
+def test_import_starts_no_thread_and_resolves_no_blas_symbol():
+    # the OpenBLAS thread-count calls are looked up at the first solve, and
+    # the look-ahead helper is started by a march, not by an import
+    code = (
+        "import ctypes, threading\n"
+        "opened = []\n"
+        "class Recording(ctypes.CDLL):\n"
+        "    def __init__(self, name, *args, **kwargs):\n"
+        "        opened.append(name)\n"
+        "        super().__init__(name, *args, **kwargs)\n"
+        "ctypes.CDLL = Recording\n"
+        "import fracheat.cli, fracheat.lemmas\n"
+        "from fracheat import solver\n"
+        "print(threading.active_count(), opened, solver._one_blas_thread._calls)\n"
+    )
+    assert _fresh_python(code).split() == ["1", "[]", "None"]
+
+
 def test_scipy_linalg_imported_later_reuses_the_loaded_lapack_module():
     code = (
         "import fracheat, scipy.linalg.lapack as lapack; from fracheat import solver; "

@@ -3,10 +3,14 @@
 import dataclasses
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracheat import (
     AlphaParam,
@@ -391,6 +395,73 @@ def test_thomas_on_scheme_shaped_systems_matches_reference(log_ratio):
         assert thomas_solve(sys).tobytes() == _reference_thomas_system(sys).tobytes()
 
 
+@st.composite
+def _dominant_symmetric_systems(draw):
+    # strictly diagonally dominant by a margin, so dgttrf swaps no rows;
+    # all-positive diagonals are positive definite and take dpttrf, the
+    # others are refused by it and take dgttrf
+    n = draw(st.integers(1, 40))
+    magnitude = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    off = np.array(draw(st.lists(magnitude, min_size=n - 1, max_size=n - 1)))
+    margin = np.array(draw(st.lists(st.floats(1e-2, 1e3), min_size=n, max_size=n)))
+    signs = draw(st.sampled_from(["+", "-", "mixed"]))
+    sign = {"+": 1.0, "-": -1.0}.get(signs) or np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    diag = sign * (np.r_[0.0, np.abs(off)] + np.r_[np.abs(off), 0.0] + margin)
+    rhs = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    return off, diag, rhs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_dominant_symmetric_systems())
+def test_thomas_symmetric_path_matches_reference_and_dgttrf_path(system):
+    # ``lower is upper`` takes dpttrf where it can; passing a copy as
+    # ``upper`` forces the dgttrf path, which must give the same bits
+    off, diag, rhs = system
+    sys_ = TridiagonalSystem(lower=off, diag=diag, upper=off, rhs=rhs)
+    got = thomas_solve(sys_)
+    general = thomas_solve(TridiagonalSystem(lower=off, diag=diag, upper=off.copy(), rhs=rhs))
+    assert got.tobytes() == general.tobytes()
+    assert (got + 0.0).tobytes() == (_reference_thomas_system(sys_) + 0.0).tobytes()
+
+
+def test_thomas_symmetric_indefinite_system_is_solved_as_before():
+    # dpttrf meets the pivot 1 - 2 * 2 = -3 and refuses; dgttrf solves it
+    off = np.array([2.0, 2.0, -1.0])
+    diag = np.array([1.0, 1.0, 1.0, -3.0])
+    rhs = np.array([1.0, -2.0, 3.0, 0.5])
+    got = thomas_solve(TridiagonalSystem(lower=off, diag=diag, upper=off, rhs=rhs))
+    general = thomas_solve(TridiagonalSystem(lower=off, diag=diag, upper=off.copy(), rhs=rhs))
+    assert got.tobytes() == general.tobytes()
+    dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+    assert np.max(np.abs(got - np.linalg.solve(dense, rhs))) < 1e-13
+
+
+@pytest.mark.parametrize("second", [1.0, 1.0 + 2.0 * np.finfo(float).eps])
+def test_thomas_symmetric_zero_or_tiny_pivot_raises_as_before(second):
+    # a zero pivot (dpttrf refuses) and a positive one under the floor
+    # (dpttrf accepts, the floor does not) both go to dgttrf, which names row 1
+    off = np.array([1.0])
+    sys_ = TridiagonalSystem(lower=off, diag=np.array([1.0, second]), upper=off, rhs=np.ones(2))
+    with pytest.raises(ZeroDivisionError, match=re.escape("zero pivot in tridiagonal elimination (row 1)")):
+        thomas_solve(sys_)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("name", ["off", "diag", "rhs"])
+def test_thomas_symmetric_path_rejects_non_finite_entries(n, name):
+    # the shared off-diagonal is reported as ``lower``, the first array searched
+    for value in (math.nan, math.inf, -math.inf):
+        arrays = dict(off=np.full(n - 1, -1.0), diag=np.full(n, 4.0), rhs=np.ones(n))
+        if arrays[name].size == 0:
+            continue
+        index = arrays[name].size // 2
+        arrays[name][index] = value
+        shown = "lower" if name == "off" else name
+        sys_ = TridiagonalSystem(lower=arrays["off"], diag=arrays["diag"], upper=arrays["off"], rhs=arrays["rhs"])
+        with pytest.raises(ValueError, match=re.escape(f"non-finite entry: {shown}[{index}] = {value}")):
+            thomas_solve(sys_)
+
+
 @pytest.mark.parametrize("scheme", list(SchemeKind))
 @pytest.mark.parametrize("alpha", (0.3, 0.7))
 @pytest.mark.parametrize(("n_sub", "m_steps"), ((24, 12), (20000, 3)))
@@ -702,14 +773,6 @@ def test_step_compact_scalar_oracle():
         assert y[j + 1] == pytest.approx(y_hand, rel=1e-13), f"level j={j}"
 
 
-def test_step_compact_rejects_variable_coefficients():
-    alpha = AlphaParam(0.5)
-    case = manufactured_case(alpha, Coefficients.VARIABLE_XT)
-    grid = GridSpec(N=8, M=4)
-    with pytest.raises(ValueError, match="time-only"):
-        solve(case.problem, grid, alpha, SchemeKind.COMPACT4)
-
-
 # -------------------------------------------------------------------- solve
 
 
@@ -788,6 +851,261 @@ def test_bootstrap_inside_the_layers_matches_a_separate_bootstrap(scheme, m_step
     layers = solve(problem, grid, alpha, scheme).layers
     assert layers.shape == (m_steps + 1, 9) and layers.flags.c_contiguous
     assert layers.tobytes() == expected.tobytes()
+
+
+# ------------------------------------------------------- look-ahead, BLAS scope
+
+
+def _lookahead(monkeypatch, on):
+    """Send every march of two levels or more down the look-ahead path, or none."""
+    monkeypatch.setattr(solver_module, "_LOOKAHEAD_MIN_N", 1 if on else sys.maxsize)
+    monkeypatch.setattr(solver_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(solver_module._one_blas_thread, "found", lambda: True)
+
+
+def _recorded(problem, log, fail_at=None):
+    """A copy of ``problem`` whose k, q and f log (name, t, thread, calls in
+    flight) and whose f raises ``fail_at[1]`` from t = ``fail_at[0]`` on."""
+    in_flight = [0]
+
+    def wrap(name):
+        field = getattr(problem, name)
+
+        def wrapper(x, t):
+            in_flight[0] += 1
+            try:
+                log.append((name, t, threading.current_thread() is threading.main_thread(), in_flight[0]))
+                if fail_at is not None and name == "f" and t >= fail_at[0]:
+                    raise fail_at[1]
+                return field(x, t)
+            finally:
+                in_flight[0] -= 1
+
+        return wrapper
+
+    return dataclasses.replace(problem, **{n: wrap(n) for n in ("k", "q", "f")})
+
+
+def _case_problem(scheme, a=0.5):
+    variant = Coefficients.TIME_ONLY if scheme is SchemeKind.COMPACT4 else Coefficients.VARIABLE_XT
+    case = manufactured_case(AlphaParam(a), variant)
+    return case.problem, case.alpha
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+@pytest.mark.parametrize("n_sub, m_steps, horizon", [(40, 12, 1.0), (8, 10, 0.01), (30, 2, 1.0)])
+def test_lookahead_layers_match_serial_bit_for_bit(scheme, n_sub, m_steps, horizon, monkeypatch):
+    # (8, 10, 0.01) bootstraps with M1 = 100 > M; (30, 2) leaves a main
+    # march of one level, which stays serial
+    problem, alpha = _case_problem(scheme)
+    grid = GridSpec(N=n_sub, M=m_steps, horizon=horizon)
+    threads = threading.active_count()
+    _lookahead(monkeypatch, False)
+    serial_log, ahead_log = [], []
+    want = solve(_recorded(problem, serial_log), grid, alpha, scheme).layers
+    _lookahead(monkeypatch, True)
+    got = solve(_recorded(problem, ahead_log), grid, alpha, scheme).layers
+    assert threading.active_count() == threads
+    assert got.tobytes() == want.tobytes()
+    assert [c[:2] for c in ahead_log] == [c[:2] for c in serial_log]
+    assert all(on_main for _, _, on_main, _ in serial_log)
+    assert not all(on_main for _, _, on_main, _ in ahead_log)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_lookahead_evaluates_each_field_once_per_level(scheme, monkeypatch):
+    # as test_solve_evaluates_each_field_once_per_level, on the helper
+    # thread: once per level, in level order, one call at a time
+    problem, alpha = _case_problem(scheme)
+    _lookahead(monkeypatch, True)
+    log = []
+    solve(_recorded(problem, log), GridSpec(N=8, M=4), alpha, scheme)
+    m1 = 3
+    assert {n: sum(c[0] == n for c in log) for n in ("k", "q", "f")} == dict.fromkeys(("k", "q", "f"), m1 + 3)
+    assert [c[0] for c in log] == ["f", "k", "q"] * (m1 + 3)
+    assert all(not on_main and flight == 1 for _, _, on_main, flight in log)
+    boot, main = [c[1] for c in log[: 3 * m1 : 3]], [c[1] for c in log[3 * m1 :: 3]]
+    assert boot == sorted(boot) and main == sorted(main) and main[-1] == 1.0
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+@pytest.mark.parametrize("bad", ["raises", "k not positive"])
+def test_lookahead_field_error_surfaces_as_in_the_serial_loop(scheme, bad, monkeypatch):
+    # the error of level 6's fields comes after the solves of levels 1..5,
+    # with the serial loop's message, and no later level is evaluated
+    problem, alpha = _case_problem(scheme)
+    grid = GridSpec(N=16, M=10)
+    t_bad = 0.65  # level j = 6 evaluates at t_7 = 0.7
+    if bad == "k not positive":
+        k = problem.k
+        problem = dataclasses.replace(problem, k=lambda x, t: k(x, t) * (-1.0 if t > t_bad else 1.0))
+    outcomes = []
+    for on in (False, True):
+        _lookahead(monkeypatch, on)
+        solved, log = [], []
+        monkeypatch.setattr(solver_module, "thomas_solve", lambda sys_: solved.append(1) or thomas_solve(sys_))
+        fail_at = (t_bad, RuntimeError("f failed here")) if bad == "raises" else None
+        threads = threading.active_count()
+        with pytest.raises((RuntimeError, ValueError)) as err:
+            solve(_recorded(problem, log, fail_at), grid, alpha, scheme)
+        assert threading.active_count() == threads
+        outcomes.append((type(err.value), str(err.value), len(solved), max(c[1] for c in log)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][2] == 5 + 5  # M1 = ceil(10^(1/1.5)) bootstrap solves, then levels 1..5
+    assert outcomes[0][3] == pytest.approx(0.7)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+@pytest.mark.parametrize(
+    "error", [ZeroDivisionError("zero pivot in tridiagonal elimination (row 3)"), KeyboardInterrupt()], ids=repr
+)
+def test_lookahead_system_failure_raises_that_levels_error(scheme, error, monkeypatch):
+    # the solve of the 9th system fails; the pending evaluation of the next
+    # level is discarded, none past it is made, and the helper is joined
+    problem, alpha = _case_problem(scheme)
+    grid = GridSpec(N=16, M=10)
+    _lookahead(monkeypatch, True)
+    solved, log = [], []
+
+    def failing(sys_):
+        if len(solved) == 8:
+            raise error
+        solved.append(1)
+        return thomas_solve(sys_)
+
+    monkeypatch.setattr(solver_module, "thomas_solve", failing)
+    threads = threading.active_count()
+    with pytest.raises(type(error)) as raised:
+        solve(_recorded(problem, log), grid, alpha, scheme)
+    assert raised.value is error
+    assert threading.active_count() == threads
+    assert len(solved) == 8 and len(log) <= 3 * 10
+
+
+def test_lookahead_helper_interrupt_reaches_the_caller(monkeypatch):
+    problem, alpha = _case_problem(SchemeKind.ORDER2)
+    _lookahead(monkeypatch, True)
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        solve(_recorded(problem, [], (0.5, KeyboardInterrupt())), GridSpec(N=16, M=10), alpha, SchemeKind.ORDER2)
+    assert threading.active_count() == threads
+
+
+def test_lookahead_under_fast_thread_switching_with_a_shared_case(monkeypatch):
+    # more solving threads than cores, each with its own helper, one shared
+    # manufactured case (and its memo); every result is the serial one
+    problem, alpha = _case_problem(SchemeKind.ORDER2, 0.3)
+    grids = [GridSpec(N=60 + 7 * i, M=6) for i in range(4)]
+    _lookahead(monkeypatch, False)
+    want = [solve(problem, g, alpha).layers.tobytes() for g in grids]
+    _lookahead(monkeypatch, True)
+    threads = threading.active_count()
+    start = threading.Barrier(len(grids), timeout=30)
+    got = {}
+
+    def work(i):
+        start.wait()
+        for _ in range(5):
+            got.setdefault(i, set()).add(solve(problem, grids[i], alpha).layers.tobytes())
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(len(grids))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in workers:
+            th.start()
+        for th in workers:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in workers)
+    assert threading.active_count() == threads
+    assert got == {i: {w} for i, w in enumerate(want)}
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_lookahead_keeps_one_array_of_layers(scheme, monkeypatch):
+    # the bound of test_solve_keeps_one_array_of_layers, with the next
+    # level's fields evaluated on the helper while a level solves
+    problem, alpha = _case_problem(scheme, 0.7)
+    grid = GridSpec(N=5000, M=80)
+    _lookahead(monkeypatch, True)
+    tracemalloc.start()
+    try:
+        layers = solve(problem, grid, alpha, scheme).layers
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    node_array = (grid.N + 1) * 8
+    assert peak - layers.nbytes <= 24 * node_array, f"{(peak - layers.nbytes) / node_array:.1f} node arrays"
+
+
+def _blas_calls():
+    calls = solver_module._one_blas_thread._lookup()
+    if not calls:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread-count setter")
+    return calls
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_solve_restores_the_blas_thread_count(fails):
+    # one thread inside the solve, the count found before it after it
+    get, put = _blas_calls()
+    problem, alpha = _case_problem(SchemeKind.ORDER2)
+    inside = []
+    f = problem.f
+
+    def field(x, t):
+        inside.append(get())
+        if fails and t > 0.5:
+            raise RuntimeError("stop")
+        return f(x, t)
+
+    before = get()
+    put(2)
+    try:
+        if fails:
+            with pytest.raises(RuntimeError, match="stop"):
+                solve(dataclasses.replace(problem, f=field), GridSpec(N=16, M=4), alpha)
+        else:
+            solve(dataclasses.replace(problem, f=field), GridSpec(N=16, M=4), alpha)
+        assert get() == 2
+    finally:
+        put(before)
+    assert set(inside) == {1}
+
+
+def test_measure_errors_restores_the_blas_thread_count():
+    get, put = _blas_calls()
+    case = manufactured_case(AlphaParam(0.5), Coefficients.VARIABLE_XT)
+    history = solve(case.problem, GridSpec(N=16, M=4), case.alpha)
+    inside = []
+
+    def u_exact(x, t):
+        inside.append(get())
+        return case.u_exact(x, t)
+
+    before = get()
+    put(2)
+    try:
+        measure_errors(history, u_exact)
+        assert get() == 2
+    finally:
+        put(before)
+    assert set(inside) == {1}
+
+
+def test_without_a_blas_setter_the_march_stays_serial(monkeypatch):
+    problem, alpha = _case_problem(SchemeKind.ORDER2)
+    grid = GridSpec(N=40, M=12)
+    want = solve(problem, grid, alpha).layers
+    monkeypatch.setattr(solver_module, "_LOOKAHEAD_MIN_N", 1)
+    monkeypatch.setattr(solver_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(solver_module._one_blas_thread, "_calls", ())
+    log = []
+    got = solve(_recorded(problem, log), grid, alpha).layers
+    assert got.tobytes() == want.tobytes()
+    assert log and all(on_main for _, _, on_main, _ in log)
 
 
 def test_solve_zero_data_stays_zero():
