@@ -33,17 +33,28 @@ __all__ = [
 ]
 
 
-def norm_L2(z: np.ndarray, h: float) -> float:
-    """Interior grid L2 norm, sqrt(sum_{i=1}^{N-1} z_i^2 h), for full-grid vectors."""
+def norm_L2(z: np.ndarray, h: float) -> np.ndarray:
+    """Interior grid L2 norm, sqrt(sum_{i=1}^{N-1} z_i^2 h), of a full-grid vector,
+    or of each one stacked along the last axis."""
     z = np.asarray(z, dtype=float)
-    return math.sqrt(h * float(np.dot(z[1:-1], z[1:-1])))
+    return np.sqrt(h * _row_sums_of_squares(z[..., 1:-1]))
 
 
-def norm_grad(z: np.ndarray, h: float) -> float:
-    """Backward-difference gradient norm, sqrt(sum_{i=1}^{N} ((z_i - z_{i-1})/h)^2 h)."""
-    z = np.asarray(z, dtype=float)
-    d = np.diff(z) / h
-    return math.sqrt(h * float(np.dot(d, d)))
+def norm_grad(z: np.ndarray, h: float) -> np.ndarray:
+    """Backward-difference gradient norm, sqrt(sum_{i=1}^{N} ((z_i - z_{i-1})/h)^2 h),
+    of a full-grid vector, or of each one stacked along the last axis."""
+    d = np.diff(np.asarray(z, dtype=float))
+    d /= h
+    return np.sqrt(h * _row_sums_of_squares(d))
+
+
+def _row_sums_of_squares(v: np.ndarray) -> np.ndarray:
+    """sum_i v[..., i]^2 for each vector along the last axis, as stacked dot products.
+
+    numpy's matmul forms each one by the same BLAS dot that ``np.dot`` calls
+    on a single row, so every sum has the bits ``np.dot(v[r], v[r])`` has.
+    """
+    return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -58,15 +69,6 @@ class ErrorReport:
 _BLOCK_DOUBLES = 8192  # the most doubles the error buffer holds, unless one layer is longer
 
 
-def _row_sums_of_squares(v: np.ndarray) -> np.ndarray:
-    """sum_i v[r, i]^2 for each row r, as stacked vector dot products.
-
-    numpy's matmul forms each one by the same BLAS dot that ``np.dot`` calls
-    on a single row, so every sum has the bits ``np.dot(v[r], v[r])`` has.
-    """
-    return np.matmul(v[:, None, :], v[:, :, None])
-
-
 def measure_errors(history: SolutionHistory, u_exact) -> ErrorReport:
     """Max over all layers (bootstrap included) of the three error norms.
 
@@ -75,26 +77,23 @@ def measure_errors(history: SolutionHistory, u_exact) -> ErrorReport:
     makes the norm it enters NaN.  ``u_exact`` is called once per layer, in
     time order.  The z of consecutive layers fill the rows of one buffer of
     at most ``_BLOCK_DOUBLES`` doubles (one row if a layer is longer), and
-    each full buffer is reduced at once.  sqrt(h s) is monotone in s, so
-    the square root is taken once, of h times the largest sum of squares.
+    each full buffer is reduced at once, by ``norm_L2`` and ``norm_grad`` of
+    its rows and the largest |z|.
     """
     grid = history.grid
     x = grid.x_nodes()
     h = grid.h
     times = grid.t_nodes()
     buf = np.empty((max(1, _BLOCK_DOUBLES // x.size), x.size))
-    worst = np.zeros(3)  # max |z|, max sum of z_i^2 over the interior, max sum of ((z_i - z_{i-1})/h)^2
+    worst = np.zeros(3)  # the largest L2 norm, gradient norm and |z| so far
     with _one_blas_thread:
         for start in range(0, times.size, buf.shape[0]):
             z = buf[: times.size - start]
             for r, t in enumerate(times[start : start + z.shape[0]]):
                 np.subtract(history.layers[start + r], np.asarray(u_exact(x, t), dtype=float), out=z[r])
-            d = np.diff(z, axis=1)
-            d /= h
-            sums = (_row_sums_of_squares(z[:, 1:-1]).max(), _row_sums_of_squares(d).max())
-            del d
-            np.maximum(worst, (np.abs(z, out=z).max(), *sums), out=worst)
-    return ErrorReport(err_L2=math.sqrt(h * worst[1]), err_C=float(worst[0]), err_grad=math.sqrt(h * worst[2]))
+            # |z| is taken in place, so after both norms
+            np.maximum(worst, (norm_L2(z, h).max(), norm_grad(z, h).max(), np.abs(z, out=z).max()), out=worst)
+    return ErrorReport(err_L2=float(worst[0]), err_C=float(worst[2]), err_grad=float(worst[1]))
 
 
 def convergence_order(e1: float, e2: float, s1: float, s2: float) -> float:

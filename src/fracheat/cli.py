@@ -51,7 +51,6 @@ class RunConfig:
     depth: int | None = None
     n_override: int | None = None
     m_steps: int | None = None
-    table: int | None = None
 
 
 def parse_args(argv: list[str]) -> RunConfig:
@@ -99,7 +98,7 @@ def parse_args(argv: list[str]) -> RunConfig:
     if ns.table is not None:
         alphas = tuple(ns.alpha) if ns.alpha else TABLE_ALPHAS[ns.table]
         return RunConfig(command=f"table{ns.table}", alpha_list=alphas, output_path=ns.out,
-                         format=ns.format or "csv", depth=ns.depth, n_override=ns.N, table=ns.table)
+                         format=ns.format or "csv", depth=ns.depth, n_override=ns.N)
     if ns.single:
         if ns.N is None or ns.M is None or not ns.alpha:
             parser.error("--single needs --N, --M and --alpha")
@@ -120,9 +119,10 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _run_table(config: RunConfig) -> int:
+    table = int(config.command.removeprefix("table"))
     tables: list[ConvergenceTable] = []
     for alpha in config.alpha_list:
-        spec = experiment_spec(config.table, alpha, depth=config.depth, n_override=config.n_override)
+        spec = experiment_spec(table, alpha, depth=config.depth, n_override=config.n_override)
         tables.append(run_experiment(spec))
     render = tables_to_csv if config.format == "csv" else tables_to_markdown
     _emit(render(tables), config.output_path)

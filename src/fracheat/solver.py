@@ -201,13 +201,14 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     the dgttrf path instead, so it is solved, or refused, as any other.
 
     A NaN or an infinity in any of the four arrays raises ``ValueError``
-    naming the array and its first such index; it makes the pivot floor or
-    a pivot non-finite, or shows in sum_i |p_i| x_i, and only then are the
-    entries searched.  Otherwise a pivot of U at or below 1e-15 of the
-    largest |diag|, which for the systems assembled here means lost diagonal
-    dominance, raises ``ZeroDivisionError`` naming the first such row,
-    before the solve.  scipy's dgttrf wrapper rejects n <= 2, so those
-    systems get 3 - n decoupled unit rows appended.
+    naming the array and its first such index.  It makes the pivot floor,
+    max_i |p_i| or sum_i x_i^2 non-finite (sums of terms >= 0, which meet
+    no inf - inf or inf * 0; ``np.vdot``, unlike ``np.dot``, does not warn
+    if x overflows), and only then are the entries searched.  Otherwise a
+    pivot of U at or below 1e-15 of the largest |diag|, which for the systems
+    assembled here means lost diagonal dominance, raises ``ZeroDivisionError``
+    naming the first such row, before the solve.  scipy's dgttrf wrapper
+    rejects n <= 2, so those systems get 3 - n decoupled unit rows appended.
     """
     n = sys.diag.size
     lower, diag, upper, rhs = sys.lower, sys.diag, sys.upper, sys.rhs
@@ -218,7 +219,7 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     factors = None
     if sys.lower is sys.upper:
         p, c, info = lapack.dpttrf(diag, lower)
-        pivots = np.abs(p[:n])
+        pivots = p[:n]  # with info == 0 each is > 0, or NaN, which fails the floor test
         if info == 0 and np.minimum.reduce(pivots) > floor:
             factors = c, p, lower, np.zeros(diag.size - 2), np.arange(1, diag.size + 1, dtype=np.int32)
     if factors is None:
@@ -229,9 +230,7 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
             raise ZeroDivisionError(f"zero pivot in tridiagonal elimination (row {np.flatnonzero(~(pivots > floor))[0]})")
         factors = c, p, l, l2, ipiv
     x = lapack.dgttrs(*factors, rhs, trans="T")[0][:n]
-    with np.errstate(invalid="ignore"):  # an infinite pivot times a zero of x
-        total = np.dot(pivots, x)
-    if not math.isfinite(total):
+    if not (math.isfinite(np.maximum.reduce(pivots)) and math.isfinite(np.vdot(x, x))):
         _require_finite(sys)
     return x
 
@@ -405,6 +404,7 @@ def _evaluated_ahead(evaluate: Callable[[int], object], levels: range) -> Iterat
             except BaseException as err:  # re-raised on the caller's thread
                 results.put((None, err))
 
+    # a Thread, not a concurrent.futures pool: a pool cannot start once the interpreter shuts down
     helper = threading.Thread(target=work, name="fracheat-lookahead")
     requests.put(levels[0])
     helper.start()

@@ -140,6 +140,22 @@ def test_run_experiment_second_row_order():
     assert table.rows[1].co_L2 == pytest.approx(2.5, abs=0.1)
 
 
+
+@pytest.mark.parametrize("n", [3, 18, 5001])
+def test_norms_of_a_stack_are_the_norms_of_its_vectors(n):
+    # one vector gives one np.float64, with the bits of the plain dot
+    # formulas; a stack gives each vector's norm along the last axis
+    rng = np.random.default_rng(n)
+    stack, h = rng.standard_normal((2, 3, n)), 1.0 / (n - 1)
+    for v in stack.reshape(-1, n):
+        d = np.diff(v) / h
+        assert norm_L2(v, h) == math.sqrt(h * float(np.dot(v[1:-1], v[1:-1])))
+        assert norm_grad(v, h) == math.sqrt(h * float(np.dot(d, d)))
+        assert type(norm_L2(v, h)) is np.float64 and type(norm_grad(v, h)) is np.float64
+    for norm in (norm_L2, norm_grad):
+        want = np.array([[norm(v, h) for v in rows] for rows in stack])
+        assert norm(stack, h).tobytes() == want.tobytes()
+
 def test_error_report_norm_comparison():
     # err_L2 <= sqrt(l) * err_C on any run
     alpha = AlphaParam(0.5)

@@ -194,6 +194,33 @@ def test_import_starts_no_thread_and_resolves_no_blas_symbol():
     assert _fresh_python(code).split() == ["1", "[]", "None"]
 
 
+def test_lookahead_solves_on_a_thread_that_outlives_the_main_thread():
+    # a non-daemon thread solves after the main thread has ended, while the
+    # interpreter shuts down; the look-ahead still starts its helper there
+    code = (
+        "import dataclasses, threading, time\n"
+        "from fracheat import AlphaParam, GridSpec, manufactured_case, solve, solver\n"
+        "case = manufactured_case(AlphaParam(0.5))\n"
+        "grid = GridSpec(N=16, M=6)\n"
+        "want = solve(case.problem, grid, case.alpha).layers.tobytes()\n"
+        "solver._LOOKAHEAD_MIN_N = 1\n"
+        "solver._usable_cpus = lambda: 2\n"
+        "solver._one_blas_thread.found = lambda: True\n"
+        "names = set()\n"
+        "def f(x, t, field=case.problem.f):\n"
+        "    names.add(threading.current_thread().name)\n"
+        "    return field(x, t)\n"
+        "problem = dataclasses.replace(case.problem, f=f)\n"
+        "def late():\n"
+        "    while threading.main_thread().is_alive():\n"
+        "        time.sleep(0.001)\n"
+        "    got = solve(problem, grid, case.alpha).layers.tobytes()\n"
+        "    print(got == want, *sorted(names))\n"
+        "threading.Thread(target=late).start()\n"
+    )
+    assert _fresh_python(code).split() == ["True", "fracheat-lookahead"]
+
+
 def test_scipy_linalg_imported_later_reuses_the_loaded_lapack_module():
     code = (
         "import fracheat, scipy.linalg.lapack as lapack; from fracheat import solver; "

@@ -462,6 +462,20 @@ def test_thomas_symmetric_path_rejects_non_finite_entries(n, name):
             thomas_solve(sys_)
 
 
+@pytest.mark.parametrize("n", [4, 7])
+def test_thomas_finite_system_with_overflowing_pivots_is_solved(n):
+    # diag 1.5e308 with off-diagonals of +-1.5e308: passed as two arrays,
+    # off and -off, dgttrf's pivots overflow to inf; passed as one, dpttrf
+    # refuses and dgttrf solves it.  No entry is non-finite, so x comes
+    # back, finite, and nothing is raised
+    big = 1.5e308
+    diag, off = np.full(n, big), np.full(n - 1, big)
+    assert np.max(np.abs(solver_module.lapack.dgttrf(-off, diag, off)[1])) == math.inf
+    for lower, upper in ((off, off), (off, -off), (-off, off)):
+        x = thomas_solve(TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=np.ones(n)))
+        assert np.isfinite(x).all()
+
+
 @pytest.mark.parametrize("scheme", list(SchemeKind))
 @pytest.mark.parametrize("alpha", (0.3, 0.7))
 @pytest.mark.parametrize(("n_sub", "m_steps"), ((24, 12), (20000, 3)))
@@ -1038,6 +1052,17 @@ def test_lookahead_keeps_one_array_of_layers(scheme, monkeypatch):
         tracemalloc.stop()
     node_array = (grid.N + 1) * 8
     assert peak - layers.nbytes <= 24 * node_array, f"{(peak - layers.nbytes) / node_array:.1f} node arrays"
+
+
+def test_lookahead_fields_run_on_the_named_helper(monkeypatch):
+    # a per-thread tracer tells the helper's spans apart by this name
+    problem, alpha = _case_problem(SchemeKind.ORDER2)
+    _lookahead(monkeypatch, True)
+    names = set()
+    f = problem.f
+    problem = dataclasses.replace(problem, f=lambda x, t: names.add(threading.current_thread().name) or f(x, t))
+    solve(problem, GridSpec(N=8, M=4), alpha)
+    assert names == {"fracheat-lookahead"}
 
 
 def _blas_calls():
