@@ -42,7 +42,6 @@ from .solver import (
     SolutionHistory,
     TridiagonalSystem,
     apply_compact_H,
-    apply_lambda,
     solve,
     thomas_solve,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "TridiagonalSystem",
     "a_coeff",
     "apply_compact_H",
-    "apply_lambda",
     "b_coeff",
     "bar_weights",
     "c_weights",

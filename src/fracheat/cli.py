@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .analysis import (ConvergenceTable, run_experiment, sci6, solve_manufactured, tables_to_csv,
                        tables_to_markdown)
 from .baselines import TABLE_ALPHAS, experiment_spec
+from .kernel import AlphaParam
 from .solver import SchemeKind
 
 __all__ = ["RunConfig", "main", "parse_args", "run"]
@@ -26,12 +27,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _alpha_value(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"{value} must lie strictly inside (0, 1)")
-    return value
+        return AlphaParam(float(text)).alpha
+    except ValueError as exc:  # not a number, or outside (0, 1)
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _alpha_list(text: str) -> list[float]:

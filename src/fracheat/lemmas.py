@@ -64,42 +64,54 @@ class CheckResult:
     detail: str
 
 
+def _least(margins) -> float:
+    """The least of the margins, a list of floats and arrays: NaN if any of
+    them holds a NaN, +inf if they hold no value.  Every check compares its
+    least margin with its bar, and a NaN fails every comparison.  Python's
+    min and max drop a NaN unless it comes first; np.min keeps it."""
+    least = [np.min(m) for m in margins if np.size(m)]
+    return float(np.min(least)) if least else math.inf
+
+
 def check_a_bounds() -> CheckResult:
     """(1-a)/(s+1)^a < a_s < (1-a)/s^a for 1 <= s <= S_MAX."""
     s = np.arange(1, S_MAX + 1, dtype=float)
-    worst = np.inf
+    margins = []
     for a in ALPHA_GRID:
         alpha = AlphaParam(a)
         av = a_coeff(s, alpha)
         lo = (1.0 - a) / (s + 1.0) ** a
         hi = (1.0 - a) / s**a
-        worst = min(worst, float(np.min(av - lo)), float(np.min(hi - av)))
+        margins += [np.min(av - lo), np.min(hi - av)]
+    worst = _least(margins)
     return CheckResult("a_s bounds", worst > 0.0, f"worst margin {worst:.3e}")
 
 
 def check_a_decrement_bounds() -> CheckResult:
     """a(1-a)/(s+2)^(a+1) < a_s - a_{s+1} < a(1-a)/s^(a+1) for 1 <= s <= S_MAX."""
     s = np.arange(1, S_MAX + 1, dtype=float)
-    worst = np.inf
+    margins = []
     for a in ALPHA_GRID:
         av = a_coeff(np.arange(1, S_MAX + 2, dtype=float), AlphaParam(a))  # a_1 .. a_{S_MAX+1}
         diff = av[:-1] - av[1:]
         lo = a * (1.0 - a) / (s + 2.0) ** (a + 1.0)
         hi = a * (1.0 - a) / s ** (a + 1.0)
-        worst = min(worst, float(np.min(diff - lo)), float(np.min(hi - diff)))
+        margins += [np.min(diff - lo), np.min(hi - diff)]
+    worst = _least(margins)
     return CheckResult("a_s decrement bounds", worst > 0.0, f"worst margin {worst:.3e}")
 
 
 def check_b_bounds() -> CheckResult:
     """a(1-a)/(12 (s+1)^(a+1)) < b_s < a(1-a)/(12 s^(a+1)) for 1 <= s <= S_MAX."""
     s = np.arange(1, S_MAX + 1, dtype=float)
-    worst = np.inf
+    margins = []
     for a in ALPHA_GRID:
         alpha = AlphaParam(a)
         bv = b_coeff(s, alpha)
         lo = a * (1.0 - a) / (12.0 * (s + 1.0) ** (a + 1.0))
         hi = a * (1.0 - a) / (12.0 * s ** (a + 1.0))
-        worst = min(worst, float(np.min(bv - lo)), float(np.min(hi - bv)))
+        margins += [np.min(bv - lo), np.min(hi - bv)]
+    worst = _least(margins)
     return CheckResult("b_s bounds", worst > 0.0, f"worst margin {worst:.3e}")
 
 
@@ -115,14 +127,15 @@ def check_c_bounds(alphas=ALPHA_GRID, j_max: int = J_MAX) -> CheckResult:
 
     c_j is the last end weight of level j+1, so one vector of them serves all j.
     """
-    worst = np.inf
+    margins = []
     j = np.arange(2, j_max + 1)
     for a in alphas:
         _, (_, c_last) = _l2_table(*_coefficients(a, j_max))
         c_j = c_last[1:]  # levels j = 2..j_max
         lo = (11.0 / 16.0) * (1.0 - a) / (j + 1.0) ** a
         hi = (1.0 - a) / j**a
-        worst = min(worst, float(np.min(np.minimum(c_j - lo, hi - c_j), initial=np.inf)))
+        margins += [c_j - lo, hi - c_j]
+    worst = _least(margins)
     return CheckResult("c_j bounds", worst > 0.0, f"worst margin {worst:.3e}")
 
 
@@ -135,16 +148,16 @@ def check_c_chain(alphas=ALPHA_GRID, j_max: int = J_MAX) -> CheckResult:
     deeper one's), and the steps into its end weights.  So each step is
     formed once, from one weight table.
     """
-    worst = np.inf
+    steps = []
     for a in alphas:
         bulk, (c_jm1, c_j) = _l2_table(*_coefficients(a, j_max))  # entry j-1 is level j+1's
         chain = np.concatenate(([bulk[0]], bulk[2 : j_max - 1]))  # c_0, c_2..c_{j_max-2}
-        steps = (
+        steps += [
             -np.diff(chain),
             -(c_jm1[2:] - chain[: j_max - 2]),  # j >= 3: into c_{j-1}, from c_0 at j = 3, from c_{j-2} after
             -(c_j[1:] - np.r_[bulk[0], c_jm1[2:]]),  # into c_j, from c_0 at j = 2, from c_{j-1} after
-        )
-        worst = min(worst, float(np.min(np.concatenate(steps), initial=np.inf)))
+        ]
+    worst = _least(steps)
     return CheckResult("c monotone chain", worst > 0.0, f"worst step {worst:.3e}")
 
 
@@ -154,15 +167,16 @@ def check_c_positivity_combo(alphas=ALPHA_GRID, j_max: int = J_MAX) -> CheckResu
     From j = 4 on, c_0, c_1 and c_2 are bulk weights, the same at every
     level, so j = 4 stands for all deeper levels and the table stops there.
     """
-    worst = np.inf
+    values = []
     j_top = min(j_max, 4)
     for a in alphas:
         c1 = c_weights(1, AlphaParam(a))
-        worst = min(worst, c1[0] + 3.0 * c1[1])
+        values.append(c1[0] + 3.0 * c1[1])
         levels = _l2_levels(*_coefficients(a, j_top))
         for j in range(2, j_top + 1):
             c = levels(j)
-            worst = min(worst, c[0] + 3.0 * c[1] - 4.0 * c[2])
+            values.append(c[0] + 3.0 * c[1] - 4.0 * c[2])
+    worst = _least(values)
     return CheckResult("c_0+3c_1-4c_2 positivity", worst > 0.0, f"worst value {worst:.3e}")
 
 
@@ -171,13 +185,13 @@ def check_bar_weight_hypotheses() -> CheckResult:
     argument requires; stated nowhere as a hypothesis check, so verified
     empirically here.  One weight table per a serves all six levels: its
     entries do not depend on its length, so they are `bar_weights`'s bits."""
-    worst = np.inf
+    margins = []
     for a in ALPHA_GRID:
         levels = _l2_levels(*_coefficients(a, J_MAX))
         for j in (2, 3, 5, 10, 50, J_MAX):
             bc = _bar_from(levels(j))
-            worst = min(worst, float(np.min(bc)), float(np.min(-np.diff(bc[1:]))))
-    worst += 0.0  # fold -0.0 into 0.0 for display
+            margins += [bc, -np.diff(bc[1:])]
+    worst = _least(margins) + 0.0  # fold -0.0 into 0.0 for display
     return CheckResult("bar weight hypotheses", worst >= 0.0, f"worst margin {worst:.3e}")
 
 
@@ -185,14 +199,15 @@ def check_energy_inequality(trials: int = 1000, seed: int = 20240) -> CheckResul
     """v_{j+1}(c0 v_{j+1} - (c0-c1) v_j - c1 v_{j-1}) >= E_{j+1} - E_j
     over random admissible (c0, c1) and random triples."""
     rng = np.random.default_rng(seed)
-    worst = np.inf
+    gaps = []
     for _ in range(trials):
         c1 = float(rng.uniform(-2.0, 2.0))
         c0 = max(c1, -3.0 * c1) + float(rng.uniform(0.0, 3.0))
         v = rng.uniform(-5.0, 5.0, size=int(rng.integers(3, 51)))
         lhs = v[2:] * (c0 * v[2:] - (c0 - c1) * v[1:-1] - c1 * v[:-2])  # j = 1 .. v.size - 2
         e = energy_E(v[1:], v[:-1], c0, c1)  # E_1 .. E_{v.size - 1}
-        worst = min(worst, float(np.min((lhs - (e[1:] - e[:-1])) / np.maximum(1.0, np.abs(lhs)))))
+        gaps.append((lhs - (e[1:] - e[:-1])) / np.maximum(1.0, np.abs(lhs)))
+    worst = _least(gaps)
     return CheckResult("pair energy inequality", worst >= -1e-12, f"worst scaled gap {worst:.3e}")
 
 
@@ -200,7 +215,7 @@ def check_history_energy_inequality(trials: int = 1000, seed: int = 20241) -> Ch
     """v_{j+1} D^alpha v >= rho (E_{j+1} - E_j) + (1/2) bar-D^alpha (v^2),
     with E built from the weight differences c_0-c_2, c_1-c_2."""
     rng = np.random.default_rng(seed)
-    worst = np.inf
+    gaps, sizes = [], []
     for _ in range(trials):
         a = float(rng.uniform(0.02, 0.98))
         alpha = AlphaParam(a)
@@ -214,9 +229,10 @@ def check_history_energy_inequality(trials: int = 1000, seed: int = 20241) -> Ch
         bar_d = _caputo_sum(_bar_from(c), v * v, tau, alpha)
         e_new = energy_E(v[j + 1], v[j], c[0] - c[2], c[1] - c[2])
         e_old = energy_E(v[j], v[j - 1], c[0] - c[2], c[1] - c[2])
-        gap = lhs - (rho * (e_new - e_old) + 0.5 * bar_d)
-        scale = max(1.0, abs(lhs), rho * abs(e_new), rho * abs(e_old))
-        worst = min(worst, gap / scale)
+        gaps.append(lhs - (rho * (e_new - e_old) + 0.5 * bar_d))
+        sizes.append((1.0, lhs, rho * e_new, rho * e_old))
+    scale = np.abs(np.reshape(sizes, (-1, 4))).max(axis=1)  # each gap's largest size, at least 1
+    worst = _least([np.divide(gaps, scale)])
     return CheckResult("history energy inequality", worst >= -1e-12, f"worst scaled gap {worst:.3e}")
 
 
@@ -248,16 +264,16 @@ def check_truncation_order() -> CheckResult:
         ("sin", np.sin, lambda al: caputo_by_quadrature(np.cos, al, 1.0)),
         ("exp", np.exp, lambda al: caputo_by_quadrature(np.exp, al, 1.0)),
     ]
-    worst_dev = 0.0
+    devs = []
     detail = []
     for a in TRUNCATION_ALPHAS:
         alpha = AlphaParam(a)
         for name, values_of, reference in cases:
             order = _final_time_order(values_of, reference, alpha)
-            dev = abs(order - (3.0 - a))
-            worst_dev = max(worst_dev, dev)
-            if dev > TRUNCATION_TOL:
+            devs.append(abs(order - (3.0 - a)))
+            if not devs[-1] <= TRUNCATION_TOL:
                 detail.append(f"{name}@a={a}: {order:.4f}")
+    worst_dev = -_least([-np.array(devs)])  # the greatest deviation, NaN if any is
     msg = f"worst deviation {worst_dev:.4f} (tol {TRUNCATION_TOL})" + ("; " + ", ".join(detail) if detail else "")
     return CheckResult("L2 truncation order", worst_dev <= TRUNCATION_TOL, msg)
 
@@ -266,13 +282,13 @@ def check_norm_equivalence() -> CheckResult:
     """(5/12) ||v||^2 <= ||H v||^2 <= ||v||^2 for boundary-vanishing vectors."""
     rng = np.random.default_rng(NORM_SEED)
     h = 1.0 / NORM_N_SUB
-    worst = np.inf
+    ratios = []
     for _ in range(NORM_TRIALS):
         v = rng.standard_normal(NORM_N_SUB + 1)
         v[0] = v[-1] = 0.0
-        nv = norm_L2(v, h) ** 2
-        nh = norm_L2(apply_compact_H(v), h) ** 2
-        worst = min(worst, nh / nv - 5.0 / 12.0, 1.0 - nh / nv)
+        ratios.append(norm_L2(apply_compact_H(v), h) ** 2 / norm_L2(v, h) ** 2)
+    ratio = np.array(ratios)
+    worst = _least([ratio - 5.0 / 12.0, 1.0 - ratio])
     return CheckResult("compact norm equivalence", worst >= 0.0, f"worst margin {worst:.3e}")
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "SolutionHistory",
     "TridiagonalSystem",
     "apply_compact_H",
-    "apply_lambda",
     "solve",
     "thomas_solve",
 ]
@@ -272,26 +271,6 @@ def _evaluate(problem: DiffusionProblem, name: str, nodes: np.ndarray, t: float,
     if bad is not None:
         raise ValueError(f"{what} at t={t}, x={nodes[int(np.argmax(bad))]}")
     return v
-
-
-def apply_lambda(y: np.ndarray, j: int, problem: DiffusionProblem, grid: GridSpec) -> np.ndarray:
-    """Second-order spatial operator at time level j+1.
-
-    Interior entries are (a_{i+1} y_{i+1} - (a_{i+1} + a_i) y_i + a_i y_{i-1}) / h^2
-    - d_i y_i with a_i = k(x_{i-1/2}, t_{j+1}) and d_i = q(x_i, t_{j+1});
-    boundary entries are zero.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.size != grid.N + 1:
-        raise ValueError(f"expected {grid.N + 1} nodal values, got {y.size}")
-    t_new = (j + 1) * grid.tau
-    a_half = _evaluate(problem, "k", grid.x_half_nodes(), t_new)
-    d = _evaluate(problem, "q", grid.x_nodes(), t_new)[1:-1]
-    out = np.zeros_like(y)
-    h2 = grid.h * grid.h
-    out[1:-1] = (a_half[1:] * y[2:] - (a_half[1:] + a_half[:-1]) * y[1:-1] + a_half[:-1] * y[:-2]) / h2
-    out[1:-1] -= d * y[1:-1]
-    return out
 
 
 def apply_compact_H(v: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ from fracheat import (
     SchemeKind,
     TridiagonalSystem,
     apply_compact_H,
-    apply_lambda,
     c_weights,
     convergence_order,
     exact_caputo_power,
@@ -48,39 +47,6 @@ def constant_coefficient_problem(f=None, u0=None, q_const=0.0):
 
 
 # ---------------------------------------------------------------- operators
-
-
-def test_apply_lambda_zero_vector():
-    grid = GridSpec(N=8, M=4)
-    prob = manufactured_case(AlphaParam(0.5)).problem
-    assert np.array_equal(apply_lambda(np.zeros(9), 1, prob, grid), np.zeros(9))
-
-
-def test_apply_lambda_exact_on_quadratic():
-    # central second difference is exact on degree <= 2
-    grid = GridSpec(N=16, M=4)
-    prob = constant_coefficient_problem()
-    x = grid.x_nodes()
-    y = x * (1.0 - x)
-    out = apply_lambda(y, 0, prob, grid)
-    assert np.allclose(out[1:-1], -2.0, atol=1e-12)
-    assert out[0] == out[-1] == 0.0
-
-
-def test_apply_lambda_on_sine():
-    grid = GridSpec(N=100, M=4)
-    prob = constant_coefficient_problem()
-    x = grid.x_nodes()
-    out = apply_lambda(np.sin(np.pi * x), 2, prob, grid)
-    ref = -math.pi**2 * np.sin(np.pi * x[1:-1])
-    assert np.max(np.abs(out[1:-1] - ref)) / np.max(np.abs(ref)) < 1e-2
-
-
-def test_apply_lambda_size_mismatch():
-    grid = GridSpec(N=8, M=4)
-    prob = constant_coefficient_problem()
-    with pytest.raises(ValueError):
-        apply_lambda(np.zeros(5), 0, prob, grid)
 
 
 def test_compact_H_constant_passthrough():
@@ -1146,14 +1112,18 @@ def test_solve_single_step_grid():
     alpha = AlphaParam(0.5)
     case = manufactured_case(alpha)
     # M=1 means tau=T, so the bootstrap takes one L1 substep over the whole
-    # horizon: rho (y1 - y0) = Lambda(T) y1 + f(T) with rho = 1/Gamma(2-a)
+    # horizon: rho (y1 - y0) = Lambda(T) y1 + f(T) with rho = 1/Gamma(2-a),
+    # Lambda in flux form: (k_{i+1/2}(y_{i+1} - y_i) - k_{i-1/2}(y_i - y_{i-1}))/h^2 - q_i y_i
     grid = GridSpec(N=12, M=1)
     hist = solve(case.problem, grid, alpha)
     assert hist.layers.shape == (2, 13)
     y0, y1 = hist.layers
     rho = 1.0 / alpha.gamma_2ma
-    residual = rho * (y1 - y0) - apply_lambda(y1, 0, case.problem, grid) - case.problem.f(grid.x_nodes(), 1.0)
-    assert np.max(np.abs(residual[1:-1])) < 1e-13 * np.max(np.abs(y1)) / grid.h**2
+    x = grid.x_nodes()
+    flux = case.problem.k(grid.x_half_nodes(), 1.0) * np.diff(y1) / grid.h  # at x_{i-1/2}, i = 1..N
+    lambda_y1 = np.diff(flux) / grid.h - case.problem.q(x, 1.0)[1:-1] * y1[1:-1]
+    residual = rho * (y1 - y0)[1:-1] - lambda_y1 - case.problem.f(x, 1.0)[1:-1]
+    assert np.max(np.abs(residual)) < 1e-13 * np.max(np.abs(y1)) / grid.h**2
 
 
 def test_solve_layer0_and_boundaries():
