@@ -107,11 +107,16 @@ def convergence_order(e1: float, e2: float, s1: float, s2: float) -> float:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A refinement ladder for one fractional order and one scheme."""
+    """A refinement ladder for one fractional order and one scheme; each rung
+    must make a ``GridSpec``, which raises ``ValueError`` naming N or M."""
 
     alpha: float
     scheme: SchemeKind
     rungs: tuple[tuple[int, int], ...]  # (M, N) per rung, coarse to fine on [0,1]x[0,1]
+
+    def __post_init__(self) -> None:
+        for m_steps, n_sub in self.rungs:
+            GridSpec(N=n_sub, M=m_steps)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 
 from .analysis import ExperimentSpec
+from .problem import _check_count
 from .solver import SchemeKind
 
 __all__ = [
@@ -138,12 +139,13 @@ def experiment_spec(
     """Ladder definition for one of the built-in experiment protocols.
 
     ``depth`` defaults to the tabulated ladder, or 5 rungs for an order the
-    table does not list.
+    table does not list.  ``depth`` must be an integer >= 1, and
+    ``n_override`` an N that ``GridSpec`` accepts.
     """
     if table not in (1, 2, 3, 4):
         raise ValueError(f"unknown table {table}")
-    if depth is not None and depth < 1:
-        raise ValueError(f"ladder depth must be >= 1, got {depth}")
+    if depth is not None:
+        _check_count("depth", depth, 1)
     scheme = SchemeKind.ORDER2 if table in (1, 2) else SchemeKind.COMPACT4
     if table in (1, 3):
         pairs = (_TABLE1_PAIRS if table == 1 else _TABLE3_PAIRS).get(alpha, [])

@@ -10,8 +10,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .analysis import (ConvergenceTable, run_experiment, sci6, solve_manufactured, tables_to_csv,
-                       tables_to_markdown)
+from .analysis import ExperimentSpec, run_experiment, sci6, tables_to_csv, tables_to_markdown
 from .baselines import TABLE_ALPHAS, experiment_spec
 from .kernel import AlphaParam
 from .solver import SchemeKind
@@ -42,13 +41,9 @@ def _alpha_list(text: str) -> list[float]:
 @dataclass(frozen=True)
 class RunConfig:
     command: str  # table1..table4 | single | properties
-    alpha_list: tuple[float, ...]
-    scheme: SchemeKind | None = None  # --single only; a table's spec picks its own
+    specs: tuple[ExperimentSpec, ...] = ()  # one per alpha for a table, one one-rung spec for --single
     output_path: str | None = None
     format: str = "csv"
-    depth: int | None = None
-    n_override: int | None = None
-    m_steps: int | None = None
 
 
 def parse_args(argv: list[str]) -> RunConfig:
@@ -86,26 +81,24 @@ def parse_args(argv: list[str]) -> RunConfig:
     given = [f"--{name}" for name in unused if getattr(ns, name) is not None]
     if given:
         parser.error(f"{', '.join(given)}: not used by --{chosen[0]}")
-    if ns.depth is not None and ns.depth < 1:
-        parser.error("--depth: ladder depth must be >= 1")
-    if ns.N is not None and ns.N < 2:
-        parser.error("--N: need at least 2 spatial subintervals")
-    if ns.M is not None and ns.M < 1:
-        parser.error("--M: need at least 1 time step")
 
-    if ns.table is not None:
-        alphas = tuple(ns.alpha) if ns.alpha else TABLE_ALPHAS[ns.table]
-        return RunConfig(command=f"table{ns.table}", alpha_list=alphas, output_path=ns.out,
-                         format=ns.format or "csv", depth=ns.depth, n_override=ns.N)
-    if ns.single:
-        if ns.N is None or ns.M is None or not ns.alpha:
-            parser.error("--single needs --N, --M and --alpha")
-        if len(ns.alpha) != 1:
-            parser.error("--alpha: --single takes exactly one value")
-        scheme = SchemeKind.COMPACT4 if ns.scheme == "compact" else SchemeKind.ORDER2
-        return RunConfig(command="single", alpha_list=tuple(ns.alpha), scheme=scheme,
-                         output_path=ns.out, n_override=ns.N, m_steps=ns.M)
-    return RunConfig(command="properties", alpha_list=(), output_path=ns.out)
+    if ns.properties:
+        return RunConfig(command="properties", output_path=ns.out)
+    if ns.single and (ns.N is None or ns.M is None or not ns.alpha):
+        parser.error("--single needs --N, --M and --alpha")
+    if ns.single and len(ns.alpha) != 1:
+        parser.error("--alpha: --single takes exactly one value")
+    try:  # the specs and their grids own the ranges of --N, --M and --depth
+        if ns.single:
+            scheme = SchemeKind.COMPACT4 if ns.scheme == "compact" else SchemeKind.ORDER2
+            specs = (ExperimentSpec(ns.alpha[0], scheme, ((ns.M, ns.N),)),)
+        else:
+            specs = tuple(experiment_spec(ns.table, alpha, depth=ns.depth, n_override=ns.N)
+                          for alpha in ns.alpha or TABLE_ALPHAS[ns.table])
+    except ValueError as exc:
+        parser.error(str(exc))
+    return RunConfig(command="single" if ns.single else f"table{ns.table}", specs=specs,
+                     output_path=ns.out, format=ns.format or "csv")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -117,23 +110,19 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _run_table(config: RunConfig) -> int:
-    table = int(config.command.removeprefix("table"))
-    tables: list[ConvergenceTable] = []
-    for alpha in config.alpha_list:
-        spec = experiment_spec(table, alpha, depth=config.depth, n_override=config.n_override)
-        tables.append(run_experiment(spec))
+    tables = [run_experiment(spec) for spec in config.specs]
     render = tables_to_csv if config.format == "csv" else tables_to_markdown
     _emit(render(tables), config.output_path)
     return 0
 
 
 def _run_single(config: RunConfig) -> int:
-    alpha = config.alpha_list[0]
-    report = solve_manufactured(alpha, config.scheme, config.m_steps, config.n_override)
+    (spec,) = config.specs
+    ((m_steps, n_sub),) = spec.rungs
+    (row,) = run_experiment(spec).rows
     _emit(
-        f"alpha={alpha} scheme={config.scheme.value} N={config.n_override} M={config.m_steps} "
-        f"err_L2={sci6(report.err_L2)} err_C={sci6(report.err_C)} "
-        f"err_grad={sci6(report.err_grad)}\n",
+        f"alpha={spec.alpha} scheme={spec.scheme.value} N={n_sub} M={m_steps} "
+        f"err_L2={sci6(row.err_L2)} err_C={sci6(row.err_C)} err_grad={sci6(row.err_grad)}\n",
         config.output_path,
     )
     return 0

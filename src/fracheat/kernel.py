@@ -198,11 +198,14 @@ def _bar_from(c: np.ndarray) -> np.ndarray:
     return bar
 
 
-def _caputo_sum(w: np.ndarray, values: np.ndarray, tau: float, alpha: AlphaParam) -> float:
-    """The L1 or L2 formula with the weights w_0..w_j at t_{j+1}, from the samples values[0..j+1]."""
-    if values.size < w.size + 1:
-        raise ValueError(f"series too short: need {w.size + 1} samples, have {values.size}")
-    du = np.diff(values[: w.size + 1])
+def _caputo_sum(j: int, weights: Callable[[], np.ndarray], values: np.ndarray, tau: float,
+                alpha: AlphaParam) -> float:
+    """The L1 or L2 formula at t_{j+1}, from the samples values[0..j+1] and the
+    weights w_0..w_j that ``weights()`` builds, once the series is long enough."""
+    if values.size < j + 2:
+        raise ValueError(f"series too short: need {j + 2} samples, have {values.size}")
+    w = weights()
+    du = np.diff(values[: j + 2])
     # w_{j-s} pairs with the forward difference at s, hence the reversal
     return tau ** (-alpha.alpha) / alpha.gamma_2ma * float(w[::-1] @ du)
 
@@ -210,7 +213,7 @@ def _caputo_sum(w: np.ndarray, values: np.ndarray, tau: float, alpha: AlphaParam
 def l2_caputo(u: TimeSeries, j: int, alpha: AlphaParam) -> float:
     """L2-formula value of the order-alpha derivative of u at t_{j+1}."""
     _check_level(j, 1, "the L2 formula")
-    return _caputo_sum(c_weights(j, alpha), u.values, u.tau, alpha)
+    return _caputo_sum(j, lambda: c_weights(j, alpha), u.values, u.tau, alpha)
 
 
 def l1_caputo(u: TimeSeries, j: int, alpha: AlphaParam) -> float:
@@ -219,7 +222,7 @@ def l1_caputo(u: TimeSeries, j: int, alpha: AlphaParam) -> float:
     The weights are a_0..a_j, those of the solver's first-layer bootstrap.
     """
     _check_level(j, 0, "the L1 formula")
-    return _caputo_sum(a_coeff(np.arange(j + 1), alpha), u.values, u.tau, alpha)
+    return _caputo_sum(j, lambda: a_coeff(np.arange(j + 1), alpha), u.values, u.tau, alpha)
 
 
 def exact_caputo_power(mu: float, alpha: AlphaParam, t):

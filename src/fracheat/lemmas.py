@@ -73,46 +73,44 @@ def _least(margins) -> float:
     return float(np.min(least)) if least else math.inf
 
 
+def _bounds(name: str, alphas, between: Callable[[float], tuple]) -> CheckResult:
+    """lo < v < hi at each a of alphas, where ``between(a)`` gives (v, lo, hi):
+    the check passes when the least margin, v - lo or hi - v, is positive."""
+    margins = []
+    for a in alphas:
+        v, lo, hi = between(a)
+        margins.append(_least([v - lo, hi - v]))
+    worst = _least(margins)
+    return CheckResult(name, worst > 0.0, f"worst margin {worst:.3e}")
+
+
 def check_a_bounds() -> CheckResult:
     """(1-a)/(s+1)^a < a_s < (1-a)/s^a for 1 <= s <= S_MAX."""
     s = np.arange(1, S_MAX + 1, dtype=float)
-    margins = []
-    for a in ALPHA_GRID:
-        alpha = AlphaParam(a)
-        av = a_coeff(s, alpha)
-        lo = (1.0 - a) / (s + 1.0) ** a
-        hi = (1.0 - a) / s**a
-        margins += [np.min(av - lo), np.min(hi - av)]
-    worst = _least(margins)
-    return CheckResult("a_s bounds", worst > 0.0, f"worst margin {worst:.3e}")
+    return _bounds("a_s bounds", ALPHA_GRID,
+                   lambda a: (a_coeff(s, AlphaParam(a)), (1.0 - a) / (s + 1.0) ** a, (1.0 - a) / s**a))
 
 
 def check_a_decrement_bounds() -> CheckResult:
     """a(1-a)/(s+2)^(a+1) < a_s - a_{s+1} < a(1-a)/s^(a+1) for 1 <= s <= S_MAX."""
     s = np.arange(1, S_MAX + 1, dtype=float)
-    margins = []
-    for a in ALPHA_GRID:
+
+    def between(a):
         av = a_coeff(np.arange(1, S_MAX + 2, dtype=float), AlphaParam(a))  # a_1 .. a_{S_MAX+1}
-        diff = av[:-1] - av[1:]
-        lo = a * (1.0 - a) / (s + 2.0) ** (a + 1.0)
-        hi = a * (1.0 - a) / s ** (a + 1.0)
-        margins += [np.min(diff - lo), np.min(hi - diff)]
-    worst = _least(margins)
-    return CheckResult("a_s decrement bounds", worst > 0.0, f"worst margin {worst:.3e}")
+        return av[:-1] - av[1:], a * (1.0 - a) / (s + 2.0) ** (a + 1.0), a * (1.0 - a) / s ** (a + 1.0)
+
+    return _bounds("a_s decrement bounds", ALPHA_GRID, between)
 
 
 def check_b_bounds() -> CheckResult:
     """a(1-a)/(12 (s+1)^(a+1)) < b_s < a(1-a)/(12 s^(a+1)) for 1 <= s <= S_MAX."""
     s = np.arange(1, S_MAX + 1, dtype=float)
-    margins = []
-    for a in ALPHA_GRID:
-        alpha = AlphaParam(a)
-        bv = b_coeff(s, alpha)
-        lo = a * (1.0 - a) / (12.0 * (s + 1.0) ** (a + 1.0))
-        hi = a * (1.0 - a) / (12.0 * s ** (a + 1.0))
-        margins += [np.min(bv - lo), np.min(hi - bv)]
-    worst = _least(margins)
-    return CheckResult("b_s bounds", worst > 0.0, f"worst margin {worst:.3e}")
+
+    def between(a):
+        bv = b_coeff(s, AlphaParam(a))
+        return bv, a * (1.0 - a) / (12.0 * (s + 1.0) ** (a + 1.0)), a * (1.0 - a) / (12.0 * s ** (a + 1.0))
+
+    return _bounds("b_s bounds", ALPHA_GRID, between)
 
 
 def _coefficients(a: float, j_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,16 +125,13 @@ def check_c_bounds(alphas=ALPHA_GRID, j_max: int = J_MAX) -> CheckResult:
 
     c_j is the last end weight of level j+1, so one vector of them serves all j.
     """
-    margins = []
     j = np.arange(2, j_max + 1)
-    for a in alphas:
-        _, (_, c_last) = _l2_table(*_coefficients(a, j_max))
-        c_j = c_last[1:]  # levels j = 2..j_max
-        lo = (11.0 / 16.0) * (1.0 - a) / (j + 1.0) ** a
-        hi = (1.0 - a) / j**a
-        margins += [c_j - lo, hi - c_j]
-    worst = _least(margins)
-    return CheckResult("c_j bounds", worst > 0.0, f"worst margin {worst:.3e}")
+
+    def between(a):
+        _, (_, c_last) = _l2_table(*_coefficients(a, j_max))  # c_last[1:] is c_j of levels j = 2..j_max
+        return c_last[1:], (11.0 / 16.0) * (1.0 - a) / (j + 1.0) ** a, (1.0 - a) / j**a
+
+    return _bounds("c_j bounds", alphas, between)
 
 
 def check_c_chain(alphas=ALPHA_GRID, j_max: int = J_MAX) -> CheckResult:
@@ -225,8 +220,8 @@ def check_history_energy_inequality(trials: int = 1000, seed: int = 20241) -> Ch
         j = n - 2
         c = c_weights(j, alpha)  # one table per trial, read by the L2 sum and the bar weights
         rho = tau ** (-a) / alpha.gamma_2ma
-        lhs = v[j + 1] * _caputo_sum(c, v, tau, alpha)
-        bar_d = _caputo_sum(_bar_from(c), v * v, tau, alpha)
+        lhs = v[j + 1] * _caputo_sum(j, lambda: c, v, tau, alpha)
+        bar_d = _caputo_sum(j, lambda: _bar_from(c), v * v, tau, alpha)
         e_new = energy_E(v[j + 1], v[j], c[0] - c[2], c[1] - c[2])
         e_old = energy_E(v[j], v[j - 1], c[0] - c[2], c[1] - c[2])
         gaps.append(lhs - (rho * (e_new - e_old) + 0.5 * bar_d))

@@ -39,6 +39,13 @@ class Coefficients(str, enum.Enum):
     TIME_ONLY = "time_only"
 
 
+def _check_count(name: str, n, least: int) -> None:
+    """Raise ``ValueError`` naming n unless it is an integer >= least; a bool,
+    a float and NaN are not, so no count is rounded or truncated silently."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform space-time grid: N spatial subintervals, M time steps.
@@ -53,10 +60,8 @@ class GridSpec:
     horizon: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, least in (("N", 2), ("M", 1)):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+        _check_count("N", self.N, 2)
+        _check_count("M", self.M, 1)
         for name in ("length", "horizon"):
             v = getattr(self, name)
             if isinstance(v, bool) or not (isinstance(v, numbers.Real) and v > 0.0 and math.isfinite(v)):

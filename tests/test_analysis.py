@@ -1,6 +1,7 @@
 """Norms, convergence orders, ladder geometry, table emission."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fracheat import (
 )
 from fracheat.analysis import (
     ErrorReport,
+    ExperimentSpec,
     _row_sums_of_squares,
     sci6,
     solve_manufactured,
@@ -301,9 +303,23 @@ def test_ladder_extends_past_tabulated_depth():
 
 
 @pytest.mark.parametrize("table", (1, 2, 3, 4))
-@pytest.mark.parametrize("depth", (0, -1))
+@pytest.mark.parametrize("depth", (0, -1, True, 2.5))
 def test_ladder_rejects_depth_below_one(table, depth):
     # a ladder needs at least one rung; 0 used to fall back to 5 rungs on
-    # tables 1 and 3 and give an empty ladder on tables 2 and 4
-    with pytest.raises(ValueError, match="depth must be >= 1"):
+    # tables 1 and 3 and give an empty ladder on tables 2 and 4, True to
+    # give one rung and 2.5 to fail in range() with a TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(f'depth must be an integer >= 1, got {depth}')}$"):
         experiment_spec(table, 0.5, depth=depth)
+
+
+@pytest.mark.parametrize("table", (1, 2, 3, 4))
+@pytest.mark.parametrize("n_override", (1, True, 2.5))
+def test_ladder_refuses_an_n_override_that_is_no_grid(table, n_override):
+    # these were accepted and failed only at the first solve
+    with pytest.raises(ValueError, match=f"^{re.escape(f'N must be an integer >= 2, got {n_override}')}$"):
+        experiment_spec(table, 0.5, n_override=n_override)
+
+
+def test_experiment_spec_checks_each_rung_as_a_grid():
+    with pytest.raises(ValueError, match=r"^M must be an integer >= 1, got 0$"):
+        ExperimentSpec(0.5, SchemeKind.ORDER2, ((10, 18), (0, 43)))

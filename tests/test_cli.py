@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from fracheat.analysis import ExperimentSpec
+from fracheat.baselines import experiment_spec
 from fracheat.cli import parse_args, run
 from fracheat.lemmas import CheckResult
 from fracheat.solver import SchemeKind
@@ -15,26 +17,28 @@ from fracheat.solver import SchemeKind
 def test_parse_table_defaults():
     cfg = parse_args(["--table", "1"])
     assert cfg.command == "table1"
-    assert cfg.alpha_list == (0.1, 0.5, 0.9)
+    assert cfg.specs == tuple(experiment_spec(1, a) for a in (0.1, 0.5, 0.9))
     assert cfg.format == "csv"
     cfg = parse_args(["--table", "4"])
-    assert cfg.alpha_list == (0.3, 0.5, 0.7)
+    assert [spec.alpha for spec in cfg.specs] == [0.3, 0.5, 0.7]
+    assert {spec.scheme for spec in cfg.specs} == {SchemeKind.COMPACT4}
 
 
 def test_parse_table_with_alpha_list():
     cfg = parse_args(["--table", "1", "--alpha", "0.5,0.9", "--depth", "2", "--format", "md"])
-    assert cfg.alpha_list == (0.5, 0.9)
-    assert cfg.depth == 2
+    assert [spec.alpha for spec in cfg.specs] == [0.5, 0.9]
+    assert [len(spec.rungs) for spec in cfg.specs] == [2, 2]
     assert cfg.format == "md"
+    cfg = parse_args(["--table", "2", "--N", "50000"])
+    assert {rung[1] for spec in cfg.specs for rung in spec.rungs} == {50000}
 
 
 def test_parse_single():
     cfg = parse_args(["--single", "--N", "18", "--M", "10", "--alpha", "0.5"])
     assert cfg.command == "single"
-    assert (cfg.n_override, cfg.m_steps) == (18, 10)
-    assert cfg.scheme is SchemeKind.ORDER2
+    assert cfg.specs == (ExperimentSpec(0.5, SchemeKind.ORDER2, ((10, 18),)),)
     cfg = parse_args(["--single", "--N", "21", "--M", "40", "--alpha", "0.5", "--scheme", "compact"])
-    assert cfg.scheme is SchemeKind.COMPACT4
+    assert cfg.specs == (ExperimentSpec(0.5, SchemeKind.COMPACT4, ((40, 21),)),)
 
 
 def test_parse_properties():
@@ -80,6 +84,24 @@ def test_configuration_errors_exit_2(argv, capsys):
         parse_args(argv)
     assert err.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--single", "--N", "1", "--M", "5", "--alpha", "0.5"], "N must be an integer >= 2, got 1"),
+        (["--single", "--N", "8", "--M", "0", "--alpha", "0.5"], "M must be an integer >= 1, got 0"),
+        (["--table", "1", "--depth", "0"], "depth must be an integer >= 1, got 0"),
+        (["--table", "1", "--N", "1"], "N must be an integer >= 2, got 1"),
+        (["--table", "2", "--alpha", "0.3", "--N", "-4"], "N must be an integer >= 2, got -4"),
+    ],
+)
+def test_range_errors_carry_the_owners_message(argv, message, capsys):
+    # GridSpec owns the range of --N and --M, experiment_spec that of --depth
+    with pytest.raises(SystemExit) as err:
+        parse_args(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from fracheat import (
     l1_caputo,
     l2_caputo,
 )
+from fracheat import kernel
 from fracheat.lemmas import ALPHA_GRID
 
 
@@ -158,6 +159,19 @@ def test_l1_input_validation():
         l1_caputo(u, -1, alpha)
     with pytest.raises(ValueError):
         l1_caputo(u, 3, alpha)  # needs 5 samples
+
+
+@pytest.mark.parametrize("formula", (l1_caputo, l2_caputo))
+def test_short_series_is_refused_before_any_weight_is_built(formula, monkeypatch):
+    # the weights of level 10**7 took about a second to build before the
+    # series length was checked
+    def unexpected(*args):
+        raise AssertionError("a weight was built for a series that is too short")
+
+    monkeypatch.setattr(kernel, "c_weights", unexpected)
+    monkeypatch.setattr(kernel, "a_coeff", unexpected)
+    with pytest.raises(ValueError, match=r"^series too short: need 10000002 samples, have 4$"):
+        formula(TimeSeries(np.arange(4.0), 0.1), 10**7, AlphaParam(0.5))
 
 
 _SERIES = TimeSeries(np.arange(6.0) ** 2, 0.2)
